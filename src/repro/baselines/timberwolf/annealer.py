@@ -29,7 +29,7 @@ import numpy as np
 
 from ...evaluation.wirelength import hpwl_meters
 from ...geometry import PlacementRegion
-from ...netlist import CellKind, Netlist, Placement
+from ...netlist import Netlist, Placement
 
 
 @dataclass
@@ -76,11 +76,7 @@ class _State:
         self.rows = region.rows
         self.num_rows = len(self.rows)
         self.weights = weights
-        self.cells = [
-            int(i)
-            for i in netlist.movable_indices
-            if netlist.cells[i].kind is not CellKind.BLOCK
-        ]
+        self.cells = np.flatnonzero(netlist.std_cell_mask).tolist()
         self.x = placement.x.copy()
         self.y = placement.y.copy()
         self.row_of: Dict[int, int] = {}

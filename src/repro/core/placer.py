@@ -331,9 +331,7 @@ class KraftwerkPlacer:
 
                     with tel.span("assemble"):
                         system = self._assemble(placement, weights, anchor, center)
-                        stiffness = np.asarray(system.Ax.diagonal())[
-                            : self.system.n_movable
-                        ]
+                        stiffness = system.ax_diagonal[: self.system.n_movable]
                     # The statistics phase of the previous transformation
                     # already rasterized this exact placement object; the
                     # raw demand map is independent of extra_demand, which
@@ -539,24 +537,24 @@ class KraftwerkPlacer:
             anchor_xy=center,
         )
 
-    def _cg(self, A, b, x0, tol, iteration: int):
+    def _cg(self, A, b, x0, tol, iteration: int, diag=None):
         """One linear solve, with the recovery ladder when enabled.
 
         The happy path of :func:`solve_with_recovery` is exactly one
         :func:`conjugate_gradient` call — same warm start, same tolerance,
         bit-identical result — so enabling recovery costs nothing until a
-        solve actually fails.
+        solve actually fails.  ``diag`` is ``A``'s diagonal, if known.
         """
         cfg = self.config
         if not cfg.recovery:
             return conjugate_gradient(
                 A, b, x0=x0, tol=tol, max_iter=cfg.cg_max_iter,
-                telemetry=self.telemetry, backend=self.backend,
+                telemetry=self.telemetry, backend=self.backend, diag=diag,
             )
         result = solve_with_recovery(
             A, b, x0=x0, tol=tol, strict_tol=cfg.cg_tol,
             max_iter=cfg.cg_max_iter, telemetry=self.telemetry,
-            iteration=iteration, backend=self.backend,
+            iteration=iteration, backend=self.backend, diag=diag,
         )
         self._escalations += len(result.escalations)
         return result
@@ -586,7 +584,8 @@ class KraftwerkPlacer:
             )
         else:
             with tel.span("solve"):
-                rx = self._cg(system.Ax, system.bx + fx, x0, tol, iteration)
+                rx = self._cg(system.Ax, system.bx + fx, x0, tol, iteration,
+                              system.ax_diagonal)
                 ry = self._cg(system.Ay, system.by + fy, y0, tol, iteration)
                 new_x, new_y, cg_iters = rx.x, ry.x, rx.iterations + ry.iterations
         if self._guard is not None:
@@ -658,15 +657,15 @@ class KraftwerkPlacer:
             # transformation's response: the density field changes slowly
             # between steps, so the old response is an excellent initial
             # iterate.
-            diag_mean = float(system.Ax.diagonal().mean())
+            diag_mean = float(system.ax_diagonal.mean())
             mu = cfg.response_tether * diag_mean
             ru = self._cg(
                 system.shifted_x(mu), fx, self._warm.get("response_x"),
-                tol, iteration,
+                tol, iteration, system.shifted_x_diagonal(),
             )
             rv = self._cg(
                 system.shifted_y(mu), fy, self._warm.get("response_y"),
-                tol, iteration,
+                tol, iteration, system.shifted_y_diagonal(),
             )
             self._warm["response_x"] = ru.x
             self._warm["response_y"] = rv.x
@@ -702,11 +701,11 @@ class KraftwerkPlacer:
             pin = max(pin, 10.0 * anchor)
             rx = self._cg(
                 system.shifted_x(pin), system.bx + pin * spread_x, spread_x,
-                tol, iteration,
+                tol, iteration, system.shifted_x_diagonal(),
             )
             ry = self._cg(
                 system.shifted_y(pin), system.by + pin * spread_y, spread_y,
-                tol, iteration,
+                tol, iteration, system.shifted_y_diagonal(),
             )
             cg_iters += rx.iterations + ry.iterations
             return rx.x, ry.x, cg_iters

@@ -19,6 +19,7 @@ strictly SPD for netlists without fixed cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,19 @@ class AssembledSystem:
         if not hasattr(self, "_op_y"):
             self._op_y = ShiftedOperator(self.Ay, self.diag_positions)
         return self._op_y.shifted(shift)
+
+    def shifted_x_diagonal(self) -> np.ndarray:
+        """Diagonal of the last :meth:`shifted_x` matrix."""
+        return self._op_x.diagonal()
+
+    def shifted_y_diagonal(self) -> np.ndarray:
+        """Diagonal of the last :meth:`shifted_y` matrix."""
+        return self._op_y.diagonal()
+
+    @cached_property
+    def ax_diagonal(self) -> np.ndarray:
+        """``Ax``'s diagonal, extracted once per transformation."""
+        return np.asarray(self.Ax.diagonal())
 
 
 class QuadraticSystem:

@@ -71,11 +71,19 @@ class ShiftedOperator:
         """``A + shift·I``; reuses one shared buffer on the fast path."""
         if not self.has_full_diagonal:
             n = self._A.shape[0]
-            return (self._A + shift * sp.identity(n, format="csr")).tocsr()
+            self._mat = (self._A + shift * sp.identity(n, format="csr")).tocsr()
+            return self._mat
         np.copyto(self._data, self._A.data)
         if shift != 0.0:
             self._data[self._diag] += shift
         return self._mat
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of the matrix the last :meth:`shifted` call returned,
+        read from the stored diagonal entries rather than a CSR scan."""
+        if not self.has_full_diagonal:
+            return self._mat.diagonal()
+        return self._data[self._diag]
 
 
 def _cg_numpy(
@@ -185,6 +193,7 @@ def conjugate_gradient(
     max_iter: int = 1000,
     telemetry=NULL_TELEMETRY,
     backend: Optional[Backend] = None,
+    diag: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Jacobi-preconditioned CG for SPD systems.
 
@@ -193,6 +202,7 @@ def conjugate_gradient(
     ``cg_solves`` counters onto the caller's open span.  ``backend`` routes
     the iteration to an accelerator; ``None`` (or the numpy backend) takes
     the reference path, which is bit-identical to the historical solver.
+    ``diag`` is ``A``'s diagonal when the caller already holds it.
     """
     A = A.tocsr()
     n = A.shape[0]
@@ -201,7 +211,8 @@ def conjugate_gradient(
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
 
-    diag = A.diagonal()
+    if diag is None:
+        diag = A.diagonal()
     if np.any(diag <= 0):
         raise ValueError("matrix has non-positive diagonal entries; not SPD")
     inv_diag = 1.0 / diag
@@ -265,6 +276,7 @@ def solve_with_recovery(
     telemetry=NULL_TELEMETRY,
     iteration: Optional[int] = None,
     backend: Optional[Backend] = None,
+    diag: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """CG with an escalation ladder for non-convergent or divergent solves.
 
@@ -287,7 +299,8 @@ def solve_with_recovery(
 
     ``backend`` applies to the CG rungs only; the direct rungs always run
     scipy's CPU factorization (robustness beats residency once CG has
-    already failed).
+    already failed).  ``diag`` is ``A``'s diagonal when the caller already
+    holds it; every rung reuses the one copy.
 
     Each rung taken bumps a ``recovery_<rung>`` telemetry counter.  If the
     ladder is exhausted without a finite solution, or the right-hand side
@@ -309,12 +322,13 @@ def solve_with_recovery(
         escalations.append(rung)
         telemetry.add(f"recovery_{rung}", 1)
 
-    diag = A.diagonal()
+    if diag is None:
+        diag = A.diagonal()
     cg_usable = bool(np.isfinite(diag).all() and np.all(diag > 0))
     if cg_usable:
         result = conjugate_gradient(
             A, b, x0=x0, tol=tol, max_iter=max_iter, telemetry=telemetry,
-            backend=backend,
+            backend=backend, diag=diag,
         )
         if _healthy(result):
             return result
@@ -327,7 +341,7 @@ def solve_with_recovery(
             warm = None
         result = conjugate_gradient(
             A, b, x0=warm, tol=strict, max_iter=2 * max_iter,
-            telemetry=telemetry, backend=backend,
+            telemetry=telemetry, backend=backend, diag=diag,
         )
         iterations += result.iterations
         if _healthy(result):
@@ -338,7 +352,7 @@ def solve_with_recovery(
         _escalate("cold_start")
         result = conjugate_gradient(
             A, b, x0=None, tol=strict, max_iter=2 * max_iter,
-            telemetry=telemetry, backend=backend,
+            telemetry=telemetry, backend=backend, diag=diag,
         )
         iterations += result.iterations
         if _healthy(result):
@@ -355,7 +369,6 @@ def solve_with_recovery(
 
     # Rung 4: anchored re-solve (tiny diagonal regularization).
     _escalate("anchored")
-    diag = A.diagonal()
     finite_diag = diag[np.isfinite(diag)]
     scale = float(np.abs(finite_diag).mean()) if finite_diag.size else 1.0
     eps = 1e-6 * max(scale, 1e-12)

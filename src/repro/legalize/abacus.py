@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import PlacementRegion, Rect
-from ..netlist import CellKind, Placement
+from ..netlist import Placement
 from .segments import Segment, build_segments
 
 _INFEASIBLE = float("inf")
@@ -169,11 +169,7 @@ class AbacusLegalizer:
         states = [_SegmentState(seg) for seg in self.segments]
         seg_center_y = np.array([s.center_y for s in self.segments])
 
-        targets = [
-            i
-            for i in nl.movable_indices
-            if nl.cells[i].kind is not CellKind.BLOCK
-        ]
+        targets = np.flatnonzero(nl.std_cell_mask).tolist()
         # Left-to-right sweep over desired x positions.
         targets.sort(key=lambda i: placement.x[i] - nl.widths[i] / 2.0)
 

@@ -12,6 +12,9 @@ the deltas exact:
   exact HPWL delta of a batch of one- or two-cell moves by gathering every
   affected net's pins, overriding the moved cells' coordinates, and
   reducing per (move, net) segment;
+- the delta splits into (move, net) pairs (:meth:`MoveEvaluator.pairs`)
+  priced independently (:meth:`MoveEvaluator.price_pairs`), so a caller
+  that keeps the pair deltas can re-price only the pairs whose net moved;
 - :meth:`MoveEvaluator.exclusive_x` returns, for every (cell, net)
   incidence, the net's x extent *excluding that cell's pins* — the
   ingredient for vectorized optimal-slide targets (the 1-D HPWL optimum is
@@ -33,11 +36,26 @@ from ..netlist import Netlist
 
 def _segment_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat index array covering ``[starts[i], starts[i]+counts[i])`` runs."""
-    total = int(counts.sum())
-    if total == 0:
+    ends = counts.cumsum()
+    if not ends.size:
         return np.zeros(0, dtype=np.int64)
-    offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return np.arange(total, dtype=np.int64) + offsets
+    return (starts - (ends - counts)).repeat(counts) + np.arange(ends[-1])
+
+
+def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.lexsort((values, groups))``: sort by group, then value, then index.
+
+    Ranks ``values`` with one stable float argsort, then sorts the integer
+    keys ``group * n + rank``.  The keys are unique, so the permutation is
+    lexsort's to the last tie — at about twice its speed.
+    """
+    n = len(values)
+    by_value = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_value] = np.arange(n)
+    key = groups.astype(np.int64) * n + rank
+    key.sort()
+    return by_value[key % n]
 
 
 class MoveEvaluator:
@@ -74,10 +92,6 @@ class MoveEvaluator:
         self.cell_ptr = np.searchsorted(
             self.inc_cell, np.arange(netlist.num_cells + 1)
         )
-        # Python-list mirrors for hot scalar loops (list indexing is an
-        # order of magnitude faster than numpy scalar indexing).
-        self.cell_ptr_list = self.cell_ptr.tolist()
-        self.inc_net_list = self.inc_net.tolist()
 
     # ------------------------------------------------------------------
     def nets_of(self, cell: int) -> np.ndarray:
@@ -137,7 +151,7 @@ class MoveEvaluator:
             px = x[cell_f] + self.pin_dx[flat]
             net_key = np.repeat(np.arange(len(nets), dtype=np.int64), deg)
 
-        order = np.lexsort((px, net_key))
+        order = _sort_within(net_key, px)
         px_s = px[order]
         cell_s = cell_f[order]
         # Smallest pin and the smallest pin of any *other* cell.
@@ -157,6 +171,103 @@ class MoveEvaluator:
         return excl_min, excl_max, inc_cell
 
     # ------------------------------------------------------------------
+    def pairs(
+        self, cell_a: np.ndarray, cell_b: np.ndarray = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The (move, net) pairs a batch of moves affects.
+
+        Returns ``(pair_move, pair_net)``: the nets of ``cell_a[m]`` (plus
+        those of ``cell_b[m]``), each once per move, grouped by move in
+        ascending move order and ascending net order within a move.  That
+        order is the summation order of :meth:`deltas`, so summing any
+        subset of moves' pair deltas in this order reproduces their
+        :meth:`deltas` floats exactly.
+        """
+        nmoves = len(cell_a)
+        cnt_a = self.cell_ptr[cell_a + 1] - self.cell_ptr[cell_a]
+        move_of = np.repeat(np.arange(nmoves, dtype=np.int64), cnt_a)
+        nets = self.inc_net[_segment_gather(self.cell_ptr[cell_a], cnt_a)]
+        if cell_b is None:
+            # One cell per move: its incident nets are already unique.
+            return move_of, nets
+        cnt_b = self.cell_ptr[cell_b + 1] - self.cell_ptr[cell_b]
+        move_of = np.concatenate(
+            (move_of, np.repeat(np.arange(nmoves, dtype=np.int64), cnt_b))
+        )
+        nets = np.concatenate(
+            (nets, self.inc_net[_segment_gather(self.cell_ptr[cell_b], cnt_b)])
+        )
+        # Both cells may share a net; dedup the (move, net) pairs.
+        # Sort + diff beats hash-based np.unique at these sizes.
+        num_nets = len(self.degree)
+        pair_key = np.sort(move_of * num_nets + nets)
+        if pair_key.size:
+            first = np.empty(len(pair_key), dtype=bool)
+            first[0] = True
+            np.not_equal(pair_key[1:], pair_key[:-1], out=first[1:])
+            pair_key = pair_key[first]
+        return pair_key // num_nets, pair_key % num_nets
+
+    def price_pairs(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        pair_move: np.ndarray,
+        pair_net: np.ndarray,
+        cell_a: np.ndarray,
+        new_ax: np.ndarray,
+        new_ay: np.ndarray,
+        cell_b: np.ndarray = None,
+        new_bx: np.ndarray = None,
+        new_by: np.ndarray = None,
+        x_only: bool = False,
+    ) -> np.ndarray:
+        """Exact HPWL delta (um) of each (move, net) pair.
+
+        ``pair_move`` indexes the move arrays (see :meth:`deltas`).  Each
+        pair's value depends only on that move and the net's pins, never on
+        which other pairs share the batch, so any subset can be re-priced.
+        """
+        if not pair_net.size:
+            return np.zeros(0)
+        # Gather every affected net's pins, one flat segment per pair.
+        # Everything from here on is O(affected pins), never O(all pins).
+        cnt = self.degree[pair_net]
+        flat = _segment_gather(self.net_start[pair_net], cnt)
+        seg = cnt.cumsum() - cnt
+        fcell = self.pin_cell[flat]
+        fdx = self.pin_dx[flat]
+        px_old = x[fcell] + fdx
+        is_a = fcell == cell_a[pair_move].repeat(cnt)
+        px = np.where(is_a, new_ax[pair_move].repeat(cnt) + fdx, px_old)
+        if cell_b is not None:
+            is_b = fcell == cell_b[pair_move].repeat(cnt)
+            px = np.where(is_b, new_bx[pair_move].repeat(cnt) + fdx, px)
+        # Fuse every extent reduction into ONE min + ONE max reduceat over
+        # stacked (old-x, new-x[, old-y, new-y]) blocks — reduceat's
+        # per-call overhead dominates at typical batch sizes.
+        blocks = [px_old, px]
+        if not x_only:
+            fdy = self.pin_dy[flat]
+            py_old = y[fcell] + fdy
+            py = np.where(is_a, new_ay[pair_move].repeat(cnt) + fdy, py_old)
+            if cell_b is not None:
+                py = np.where(is_b, new_by[pair_move].repeat(cnt) + fdy, py)
+            blocks += [py_old, py]
+        total = len(px)
+        stacked = np.concatenate(blocks)
+        segs = (seg + total * np.arange(len(blocks))[:, None]).ravel()
+        ext = np.maximum.reduceat(stacked, segs) - np.minimum.reduceat(
+            stacked, segs
+        )
+        npairs = len(seg)
+        pair_delta = ext[npairs : 2 * npairs] - ext[:npairs]
+        if not x_only:
+            pair_delta = pair_delta + (
+                ext[3 * npairs :] - ext[2 * npairs : 3 * npairs]
+            )
+        return pair_delta
+
     def deltas(
         self,
         x: np.ndarray,
@@ -181,70 +292,9 @@ class MoveEvaluator:
         nmoves = len(cell_a)
         if nmoves == 0:
             return np.zeros(0)
-        # (move, net) pairs: nets of a (plus nets of b), deduped per move.
-        cnt_a = self.cell_ptr[cell_a + 1] - self.cell_ptr[cell_a]
-        idx_a = _segment_gather(self.cell_ptr[cell_a], cnt_a)
-        move_of = np.repeat(np.arange(nmoves, dtype=np.int64), cnt_a)
-        nets = self.inc_net[idx_a]
-        num_nets = len(self.degree)
-        if cell_b is not None:
-            cnt_b = self.cell_ptr[cell_b + 1] - self.cell_ptr[cell_b]
-            idx_b = _segment_gather(self.cell_ptr[cell_b], cnt_b)
-            move_of = np.concatenate(
-                (move_of, np.repeat(np.arange(nmoves, dtype=np.int64), cnt_b))
-            )
-            nets = np.concatenate((nets, self.inc_net[idx_b]))
-            # Both cells may share a net; dedup the (move, net) pairs.
-            # Sort + diff beats hash-based np.unique at these sizes.
-            pair_key = np.sort(move_of * num_nets + nets)
-            first = np.empty(len(pair_key), dtype=bool)
-            first[0] = True
-            np.not_equal(pair_key[1:], pair_key[:-1], out=first[1:])
-            pair_key = pair_key[first]
-            pair_move = pair_key // num_nets
-            pair_net = pair_key % num_nets
-        else:
-            # One cell per move: its incident nets are already unique.
-            pair_move = move_of
-            pair_net = nets
-
-        # Gather every affected net's pins, one flat segment per pair.
-        # Everything from here on is O(affected pins), never O(all pins).
-        cnt = self.degree[pair_net]
-        flat = _segment_gather(self.net_start[pair_net], cnt)
-        fmove = np.repeat(pair_move, cnt)
-        fcell = self.pin_cell[flat]
-        fdx = self.pin_dx[flat]
-        px_old = x[fcell] + fdx
-        seg = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        is_a = fcell == cell_a[fmove]
-        px = np.where(is_a, new_ax[fmove] + fdx, px_old)
-        if cell_b is not None:
-            is_b = fcell == cell_b[fmove]
-            px = np.where(is_b, new_bx[fmove] + fdx, px)
-        # Fuse every extent reduction into ONE min + ONE max reduceat over
-        # stacked (old-x, new-x[, old-y, new-y]) blocks — reduceat's
-        # per-call overhead dominates at typical batch sizes.
-        blocks = [px_old, px]
-        if not x_only:
-            fdy = self.pin_dy[flat]
-            py_old = y[fcell] + fdy
-            py = np.where(is_a, new_ay[fmove] + fdy, py_old)
-            if cell_b is not None:
-                py = np.where(is_b, new_by[fmove] + fdy, py)
-            blocks += [py_old, py]
-        total = len(px)
-        stacked = np.concatenate(blocks)
-        segs = np.concatenate(
-            [seg + k * total for k in range(len(blocks))]
+        pair_move, pair_net = self.pairs(cell_a, cell_b)
+        pair_delta = self.price_pairs(
+            x, y, pair_move, pair_net, cell_a, new_ax, new_ay,
+            cell_b, new_bx, new_by, x_only=x_only,
         )
-        ext = np.maximum.reduceat(stacked, segs) - np.minimum.reduceat(
-            stacked, segs
-        )
-        npairs = len(seg)
-        pair_delta = ext[npairs : 2 * npairs] - ext[:npairs]
-        if not x_only:
-            pair_delta = pair_delta + (
-                ext[3 * npairs :] - ext[2 * npairs : 3 * npairs]
-            )
         return np.bincount(pair_move, weights=pair_delta, minlength=nmoves)

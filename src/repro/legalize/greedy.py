@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..geometry import PlacementRegion, Rect
-from ..netlist import CellKind, Placement
+from ..netlist import Placement
 from .abacus import LegalizationResult
 from .segments import build_segments
 
@@ -53,11 +53,7 @@ class TetrisLegalizer:
         ys = self.index.row_y.tolist()
         nrows = len(ys)
 
-        targets = [
-            i
-            for i in nl.movable_indices
-            if nl.cells[i].kind is not CellKind.BLOCK
-        ]
+        targets = np.flatnonzero(nl.std_cell_mask).tolist()
         targets.sort(key=lambda i: placement.x[i] - nl.widths[i] / 2.0)
 
         out = placement.copy()

@@ -17,6 +17,17 @@ per-move Python net walks.  Each pass:
    in the next round, so one candidate generation approaches the move
    yield of a fully sequential greedy sweep at batch cost.
 
+Step 3 is defined by that best-first sweep, but runs without one.  A
+candidate conflicts with another when they share a window cell or a net,
+so the sweep accepts exactly the lexicographically-first maximal
+independent set of the conflict graph in rank order, which
+:func:`_independent_set` computes in a few numpy rounds.  Re-pricing keeps
+every (move, net) pair delta for the whole accept call and recomputes only
+the pairs whose net an accepted move touched; the move deltas are re-summed
+in the original pair order, so each is the float a full re-price gives.
+:mod:`repro.testing.improver` keeps the sequential sweep and the full
+re-price as bit-identity oracles.
+
 The dirty-net filter makes every applied delta exact and the frozen-window
 rule makes every accepted move legal, so each pass monotonically decreases
 HPWL just like the scalar improver — at a small fraction of the cost.
@@ -33,11 +44,83 @@ import numpy as np
 
 from ..evaluation.wirelength import net_hpwl
 from ..geometry import PlacementRegion, Rect
-from ..netlist import CellKind, Placement
+from ..netlist import Placement
 from .detailed import ImprovementResult
-from .extents import MoveEvaluator
+from .extents import MoveEvaluator, _sort_within
 
 _EPS = 1e-9
+
+
+def _independent_set(
+    windows: np.ndarray, owner: np.ndarray, nets: np.ndarray,
+    locked: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What a best-first sequential accept sweep does, in numpy rounds.
+
+    Candidates are given in rank order (best delta first): ``windows`` is
+    their ``(k, w)`` window cells (-1 padding) and ``(owner, nets)`` lists
+    each candidate's nets as flat (rank, net) entries.  ``locked`` marks
+    cells locked by earlier pricing rounds, plus a last, always-False slot
+    that the -1 padding indexes.  A candidate's window cells are distinct,
+    and so are its nets.  The sequential sweep visits
+    candidates in rank order and skips a candidate with a locked window
+    cell (*dropped*); it defers one with a net dirtied this round
+    (*retried*), and otherwise accepts it, locking its window cells and
+    dirtying its nets.
+
+    Two candidates conflict when they share a window cell or a net, so
+    the accepted moves are exactly the lexicographically-first maximal
+    independent set of that conflict graph (after discarding the
+    candidates locked by earlier rounds).  Each numpy round accepts every
+    live candidate that holds the lowest live rank on all its keys — all
+    its better-ranked neighbors are already retired, so the sweep accepts
+    it too — and retires every live candidate sharing a key with one.  A
+    rejected candidate is then dropped if an accepted move of better rank
+    shares a window cell with it, and retried otherwise.
+
+    Returns ``(accepted, retried)`` masks over the k candidates.
+    """
+    k, w = windows.shape
+    num_cells = len(locked) - 1
+    rank = np.arange(k)
+    prelocked = np.logical_or.reduce(locked[windows], axis=1)
+    live = ~prelocked
+    # One key space: window cells, then nets offset past the cells.  One
+    # sort orders the entries by key, ties by rank.
+    keys = np.concatenate((windows.ravel(), nets + num_cells))
+    own = np.concatenate((rank.repeat(w), owner))
+    entry = keys * k + own
+    entry = entry[(keys >= 0) & live[own]]
+    entry.sort()
+    keys, own = np.divmod(entry, k)
+    accepted = np.zeros(k, dtype=bool)
+    while keys.size:
+        head = np.empty(keys.size, dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        if head.all():
+            # No two live candidates share a key: all of them are taken.
+            accepted |= live
+            break
+        new = live.copy()
+        new[own[~head]] = False
+        accepted |= new
+        # A key whose lowest live rank was just accepted retires every
+        # other candidate holding it.
+        hit = new[own[head]][head.cumsum() - 1]
+        live[own[hit]] = False
+        keep = live[own]
+        keys, own = keys[keep], own[keep]
+    rejected = ~accepted & ~prelocked
+    if not rejected.any():
+        return accepted, rejected
+    # Rank of the accepted move holding each cell; a rejected candidate
+    # whose window meets a better-ranked one found its cell locked.
+    holder = np.full(num_cells + 1, k)
+    holder[windows[accepted]] = rank[accepted, None]
+    holder[-1] = k
+    dropped = np.logical_or.reduce(holder[windows] < rank[:, None], axis=1)
+    return accepted, rejected & ~dropped
 
 
 class _RowView:
@@ -126,12 +209,7 @@ class VectorImprover:
         nl = placement.netlist
         out = placement.copy()
         ev = MoveEvaluator(nl)
-        movable = nl.movable_indices
-        std = np.array(
-            [int(i) for i in movable
-             if nl.cells[int(i)].kind is not CellKind.BLOCK],
-            dtype=np.int64,
-        )
+        std = np.flatnonzero(nl.std_cell_mask)
         hpwl_before = float(net_hpwl(out).sum())
         accepted = 0
         passes_run = 0
@@ -254,79 +332,81 @@ class VectorImprover:
 
         Returns ``(moves_taken, hpwl_gain_um)`` — the gain is the exact
         summed improvement of the applied deltas (positive)."""
-        nl = out.netlist
-        locked = bytearray(nl.num_cells)
-        num_nets = max(nl.num_nets, 1)
-        # Pure-Python structures: the accept loop touches a few cells and
-        # nets per candidate, where list indexing beats numpy fancy
-        # indexing by an order of magnitude.
-        win_list = windows.tolist()
-        cell_ptr = ev.cell_ptr_list
-        inc_net = ev.inc_net_list
-        a_list = cell_a.tolist()
-        b_list = cell_b.tolist() if cell_b is not None else None
         x, y = out.x, out.y
         two = cell_b is not None
-        alive = np.arange(len(cell_a))
+        moves = (cell_a, new_ax, new_ay, cell_b, new_bx, new_by)
+        n = len(cell_a)
+        # One spare slot, never set, that window padding (-1) reads.
+        locked = np.zeros(out.netlist.num_cells + 1, dtype=bool)
+        # Per-(move, net) deltas live for the whole call: a round re-prices
+        # only the pairs whose net the previous round's moves touched.
+        pair_move, pair_net = ev.pairs(cell_a, cell_b)
+        pair_delta = ev.price_pairs(
+            x, y, pair_move, pair_net, *moves, x_only=x_only
+        )
+        alive = np.arange(n)
+        pairs = np.arange(len(pair_move))  # alive moves' pairs, pair order
+        pair_slot = pair_move  # each alive pair's move, as an index in alive
+        stale = None
         taken = 0
         gain = 0.0
         for _ in range(max_rounds):
-            if not alive.size:
-                break
-            deltas = ev.deltas(
-                x, y, cell_a[alive], new_ax[alive], new_ay[alive],
-                cell_b[alive] if two else None,
-                new_bx[alive] if two else None,
-                new_by[alive] if two else None,
-                x_only=x_only,
+            if stale is not None:
+                pair_delta[stale] = ev.price_pairs(
+                    x, y, pair_move[stale], pair_net[stale], *moves,
+                    x_only=x_only,
+                )
+            # Each move's pairs are summed in pair order: the same floats
+            # as ev.deltas() over the alive moves.
+            deltas = np.bincount(
+                pair_slot, weights=pair_delta[pairs], minlength=len(alive)
             )
             cand = np.flatnonzero(deltas < -_EPS)
             if not cand.size:
                 break
             order = cand[np.argsort(deltas[cand], kind="stable")]
-            dirty = bytearray(num_nets)
-            retry = []
-            round_taken = 0
-            for mi in order.tolist():
-                m = int(alive[mi])
-                ok = True
-                for c in win_list[m]:
-                    if c >= 0 and locked[c]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                ca = a_list[m]
-                nets = inc_net[cell_ptr[ca] : cell_ptr[ca + 1]]
-                if two:
-                    cb = b_list[m]
-                    nets = nets + inc_net[cell_ptr[cb] : cell_ptr[cb + 1]]
-                clean = True
-                for j in nets:
-                    if dirty[j]:
-                        clean = False
-                        break
-                if not clean:
-                    retry.append(m)
-                    continue
-                x[ca] = new_ax[m]
-                y[ca] = new_ay[m]
-                moved[ca] = True
-                if two:
-                    x[cb] = new_bx[m]
-                    y[cb] = new_by[m]
-                    moved[cb] = True
-                for c in win_list[m]:
-                    if c >= 0:
-                        locked[c] = 1
-                for j in nets:
-                    dirty[j] = 1
-                round_taken += 1
-                gain -= float(deltas[mi])
-            taken += round_taken
-            if round_taken == 0:
+            ranked = alive[order]
+            rank = np.full(len(alive), -1)
+            rank[order] = np.arange(len(order))
+            owner = rank[pair_slot]
+            ranked_pairs = owner >= 0
+            owner = owner[ranked_pairs]
+            nets = pair_net[pairs[ranked_pairs]]
+            accept, retry = _independent_set(
+                windows[ranked], owner, nets, locked
+            )
+            win = ranked[accept]
+            if not win.size:
                 break
-            alive = np.array(retry, dtype=np.int64)
+            ca = cell_a[win]
+            x[ca] = new_ax[win]
+            moved[ca] = True
+            if not x_only:
+                y[ca] = new_ay[win]
+            if two:
+                cb = cell_b[win]
+                x[cb] = new_bx[win]
+                moved[cb] = True
+                if not x_only:
+                    y[cb] = new_by[win]
+            locked[windows[win]] = True
+            locked[-1] = False
+            # Gain in rank order, one subtraction at a time: the exact
+            # float a best-first sequential sweep accumulates.
+            for d in deltas[order[accept]].tolist():
+                gain -= d
+            taken += len(win)
+            alive = ranked[retry]
+            if not alive.size:
+                break
+            slot = np.full(n, -1)
+            slot[alive] = np.arange(len(alive))
+            pair_slot = slot[pair_move[pairs]]
+            still = pair_slot >= 0
+            pairs, pair_slot = pairs[still], pair_slot[still]
+            dirty = np.zeros(len(ev.degree), dtype=bool)
+            dirty[nets[accept[owner]]] = True
+            stale = pairs[dirty[pair_net[pairs]]]
         if alive.size:
             # Still-improving but net-blocked candidates: seed the next
             # pass's worklist so they are re-priced instead of lost.
@@ -509,7 +589,7 @@ class VectorImprover:
         pts = np.concatenate((excl_min[fin], excl_max[fin]))
         if not pts.size:
             return np.full(num_cells, np.nan)
-        order = np.lexsort((pts, cell_rep))
+        order = _sort_within(cell_rep, pts)
         cell_s = cell_rep[order]
         pts_s = pts[order]
         rng = np.arange(num_cells)

@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import PlacementRegion, Rect
-from ..netlist import CellKind, Placement
+from ..netlist import Placement
 from .abacus import LegalizationResult
 from .segments import Segment, build_segments
 
@@ -323,14 +323,7 @@ class VectorAbacusLegalizer:
         radius = self.row_search_radius
 
         movable = nl.movable_indices
-        if movable.size:
-            std_mask = np.array(
-                [nl.cells[int(i)].kind is not CellKind.BLOCK for i in movable],
-                dtype=bool,
-            )
-            std = movable[std_mask]
-        else:
-            std = movable
+        std = np.flatnonzero(nl.std_cell_mask)
         widths = nl.widths[std]
         weights = nl.areas[std]
         x_desired = placement.x[std] - widths / 2.0

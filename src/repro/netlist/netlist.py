@@ -9,6 +9,7 @@ cell sizes and fixed positions because every placer inner loop consumes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -129,6 +130,16 @@ class Netlist:
     def nets_of_cell(self, cell_index: int) -> List[int]:
         """Indices of nets incident to the cell."""
         return self._cell_nets[cell_index]
+
+    @cached_property
+    def std_cell_mask(self) -> np.ndarray:
+        """Movable cells that are not macro blocks: the row cells the
+        legalizers and improvers place.  Built on first use, so generating
+        a netlist does not pay for the per-cell scan."""
+        kinds = np.array(
+            [c.kind is not CellKind.BLOCK for c in self.cells], dtype=bool
+        )
+        return kinds & self.movable_mask
 
     def movable_area(self) -> float:
         return float(self.areas[self.movable_mask].sum())

@@ -209,6 +209,16 @@ class PlacementServer:
             return
         self._stop.set()
         if self._listener is not None:
+            # Closing a listener does not wake a thread blocked in
+            # accept(); shutting it down does.  Where a platform refuses
+            # to shut a listener down, a connection of our own wakes it.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                try:
+                    socket.create_connection(self.address, timeout=1.0).close()
+                except OSError:
+                    pass
             try:
                 self._listener.close()
             except OSError:
@@ -218,7 +228,7 @@ class PlacementServer:
         for conn in conns:
             self._drop(conn)
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+            self._accept_thread.join()
         if self._owns_service:
             self.service.shutdown()
 
@@ -228,7 +238,10 @@ class PlacementServer:
             try:
                 sock, peer = self._listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
+            if self._stop.is_set():
+                sock.close()
+                return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(sock, peer)
             with self._conns_lock:

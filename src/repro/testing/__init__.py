@@ -8,6 +8,10 @@ paths' point of view, but installs nothing unless explicitly asked to.
 :mod:`repro.testing.legal` is the shared legality oracle: one vectorized
 :func:`~repro.testing.legal.assert_legal` that every legalizer test calls,
 so "legal" means exactly one thing across the whole suite.
+
+:mod:`repro.testing.improver` keeps the sequential accept loop and the
+per-pin move pricing that the vectorized improver replaced, as its
+bit-identity oracles.
 """
 
 from .faults import (
@@ -27,6 +31,7 @@ from .faults import (
     resolve_fault,
     slow_start,
 )
+from .improver import SequentialImprover, reference_deltas, sequential_accept
 from .legal import assert_legal
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "FAULT_SPEC_ENV",
     "FaultInjection",
     "KILL_EXIT_CODE",
+    "SequentialImprover",
     "assert_legal",
     "burn_deadline",
     "corrupt_checkpoint",
@@ -44,6 +50,8 @@ __all__ = [
     "install_env_hooks",
     "install_process_faults",
     "kill_worker",
+    "reference_deltas",
     "resolve_fault",
+    "sequential_accept",
     "slow_start",
 ]

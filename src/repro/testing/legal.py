@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..geometry import PlacementRegion, Rect
-from ..netlist import CellKind, Placement
+from ..netlist import Placement
 
 #: Overlap / containment tolerance in um.  Improvement passes move cells by
 #: exact arithmetic but repack edges via sums of widths, so adjacent cells
@@ -33,15 +33,7 @@ TOL = 1e-6
 
 
 def _movable_std(placement: Placement) -> np.ndarray:
-    nl = placement.netlist
-    movable = nl.movable_indices
-    if not movable.size:
-        return movable
-    mask = np.array(
-        [nl.cells[int(i)].kind is not CellKind.BLOCK for i in movable],
-        dtype=bool,
-    )
-    return movable[mask]
+    return np.flatnonzero(placement.netlist.std_cell_mask)
 
 
 def assert_legal(

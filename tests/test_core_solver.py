@@ -114,6 +114,20 @@ class TestShiftedOperator:
         assert not op.has_full_diagonal
         expected = (A + 1.5 * sp.identity(3, format="csr")).toarray()
         assert np.allclose(op.shifted(1.5).toarray(), expected)
+        assert np.array_equal(op.diagonal(), np.diag(expected))
+
+    def test_diagonal_is_the_shifted_matrix_diagonal(self, rng):
+        A = _random_spd(40, rng)
+        op = ShiftedOperator(A)
+        for shift in (0.0, 0.5, 3.25):
+            # Exactly the CSR scan's floats, so a solve handed this
+            # diagonal is bit-identical to one that extracts it.
+            shifted = op.shifted(shift)
+            assert np.array_equal(op.diagonal(), shifted.diagonal())
+        b = rng.standard_normal(40)
+        given = conjugate_gradient(op.shifted(0.5), b, diag=op.diagonal())
+        scanned = conjugate_gradient(op.shifted(0.5), b)
+        assert np.array_equal(given.x, scanned.x)
 
 
 class TestSolveSpd:

@@ -138,6 +138,20 @@ class TestBuilderAndNetlist:
         nl_blocks = b.build().blocks()
         assert [c.name for c in nl_blocks] == ["big"]
 
+    def test_std_cell_mask_is_lazy_and_skips_blocks_and_fixed(self):
+        b = NetlistBuilder("t")
+        b.add_cell("a", 4.0, 16.0)
+        b.add_block("big", 200.0, 300.0)
+        b.add_fixed_cell("pad", 4.0, 4.0, x=0.0, y=0.0)
+        b.add_fixed_cell("macro", 50.0, 50.0, x=90.0, y=90.0,
+                         kind=CellKind.BLOCK)
+        b.add_cell("c", 6.0, 16.0)
+        nl = b.build()
+        # Building a netlist does not pay for the per-cell scan.
+        assert "std_cell_mask" not in vars(nl)
+        assert nl.std_cell_mask.tolist() == [True, False, False, False, True]
+        assert nl.std_cell_mask is nl.std_cell_mask
+
     def test_indices_assigned(self, four_cell_netlist):
         for i, cell in enumerate(four_cell_netlist.cells):
             assert cell.index == i

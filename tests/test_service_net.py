@@ -441,3 +441,31 @@ class TestConcurrentClients:
                 assert all(
                     e["job"].startswith(tenant + "-") for e in events
                 )
+
+
+# ----------------------------------------------------------------------
+# Lifecycle: teardown is signalled, never waited out
+# ----------------------------------------------------------------------
+class TestLifecycle:
+    def test_close_is_prompt_and_stops_accept_thread(self):
+        srv = PlacementServer(service_config=service_config()).start()
+        sock = socket.create_connection(srv.address, timeout=10.0)
+        try:
+            send_frame(sock, {"type": "hello", "schema": WIRE_SCHEMA,
+                              "token": "t"})
+            assert recv_frame(sock)["type"] == "hello"
+            t0 = time.perf_counter()
+            srv.close()
+            elapsed = time.perf_counter() - t0
+        finally:
+            sock.close()
+        assert elapsed < 1.0
+        assert not srv._accept_thread.is_alive()
+        assert not srv.service._thread.is_alive()
+
+    def test_close_of_idle_server_is_prompt(self):
+        srv = PlacementServer(service_config=service_config()).start()
+        t0 = time.perf_counter()
+        srv.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert not srv._accept_thread.is_alive()
