@@ -14,8 +14,8 @@ Quickstart::
 
 Sub-packages:
 
-- :mod:`repro.api` — the stable one-call facade (``place``/``place_many``).
-- :mod:`repro.parallel` — the parallel batch-placement engine.
+- :mod:`repro.api` — the stable one-call facade (``place``/``place_many``)
+  and the ``Client`` over the placement service.
 - :mod:`repro.core` — the force-directed global placer (the contribution).
 - :mod:`repro.backend` — pluggable array backends (numpy / cupy / torch)
   for the field/solve hot path; see ``docs/BACKENDS.md``.
@@ -30,9 +30,10 @@ Sub-packages:
 - :mod:`repro.evaluation` — wire length, overlap and report helpers.
 - :mod:`repro.observability` — span timers, metric streams, trace export
   and the ``repro bench`` regression harness.
-- :mod:`repro.service` — the fault-tolerant placement service: supervised
-  worker pool, retry/backoff, checkpoint migration, admission control,
-  the ``repro-wire/1`` TCP front end, result cache and load harness.
+- :mod:`repro.service` — the fault-tolerant placement service, the one
+  way jobs run in other processes: supervised worker pool, retry/backoff,
+  checkpoint migration, admission control, the ``repro-wire/1`` TCP front
+  end, result cache and load harness.
 """
 
 from .backend import available_backends, resolve_backend
@@ -115,17 +116,13 @@ from .api import (
     JobHandle,
     place,
     place_many,
-    place_service,
     region_for_netlist,
     resolve_source,
 )
-from .parallel import (
+from .service import (
     BatchResult,
     JobResult,
     PlacementJob,
-    run_batch,
-)
-from .service import (
     PlacementService,
     RetryPolicy,
     ServiceConfig,
@@ -133,7 +130,7 @@ from .service import (
     serve_jobs,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "available_backends",
@@ -207,13 +204,11 @@ __all__ = [
     "JobHandle",
     "place",
     "place_many",
-    "place_service",
     "region_for_netlist",
     "resolve_source",
     "BatchResult",
     "JobResult",
     "PlacementJob",
-    "run_batch",
     "PlacementService",
     "RetryPolicy",
     "ServiceConfig",

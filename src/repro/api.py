@@ -6,15 +6,14 @@ file or a repro ``.netlist`` file — goes through three surfaces:
 
 - :func:`place` runs global placement (plus legalization by default) on one
   design and returns a frozen, picklable :class:`FlowResult`;
-- :func:`place_many` fans a list of designs/seeds out over the parallel
-  batch engine (:mod:`repro.parallel`) and returns a
-  :class:`~repro.parallel.BatchResult`;
+- :func:`place_many` fans a list of designs/seeds out over a private
+  placement service and returns a :class:`~repro.service.jobs.BatchResult`;
 - :class:`Client` is the *single* client surface over the placement
   service: ``submit() -> JobHandle``, ``handle.stream()`` for per-iteration
-  progress, ``handle.result()``, ``cancel()`` — with two interchangeable
-  transports, in-process (wrapping
+  progress, ``handle.result()``, ``cancel()``, ``map()`` for a batch —
+  with two interchangeable transports, in-process (wrapping
   :class:`~repro.service.PlacementService`) and socket (the ``repro-wire/1``
-  protocol of :mod:`repro.service.net`).  ``place_many``/``place_service``/
+  protocol of :mod:`repro.service.net`).  ``place_many`` and
   ``serve_jobs`` are thin convenience wrappers over it.
 
 Quickstart::
@@ -40,9 +39,11 @@ need the individual layers.
 
 from __future__ import annotations
 
+import os
 import queue as _queue
 import threading
-from collections import OrderedDict
+import time
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import (
@@ -202,8 +203,8 @@ class FlowResult:
 
     Frozen and picklable by construction — coordinates, scalars and the
     config's dict form only, no solver or telemetry handles — so results
-    cross process boundaries cleanly (the batch engine ships them back from
-    worker processes).
+    cross process boundaries cleanly (service workers ship them back to the
+    supervisor).
     """
 
     #: Resolved design name (netlist name or source string).
@@ -418,8 +419,6 @@ def place(
     legal_hpwl: Optional[float] = None
     seconds = result.seconds
     if legalize:
-        import time
-
         t0 = time.perf_counter()
         leg_kwargs = {} if telemetry is None else {"telemetry": telemetry}
         legal = final_placement(
@@ -468,27 +467,37 @@ def place_many(
     *sources* is one :data:`PlaceSource` (fanned out over *seeds* — the
     multi-start case), a sequence of sources (one job each, seed 0 or the
     matching entry of *seeds*), or a sequence of prebuilt
-    :class:`~repro.parallel.PlacementJob` specs (used verbatim).
-    *workers* follows :func:`repro.parallel.run_batch` semantics: ``None``
-    uses the CPU count, ``0`` runs serially in-process (the determinism
-    baseline), ``N >= 1`` uses a process pool.
+    :class:`~repro.service.jobs.PlacementJob` specs (used verbatim).
 
-    Thin wrapper over :meth:`Client.map`.
+    The jobs run on a private :class:`~repro.service.PlacementService`
+    (supervised workers, retries, result cache) that lives for this call:
+    *workers* (``None`` = CPU count, at most one per job, at least 1),
+    *mp_context* and *trace_dir* configure it.  Every job's result is
+    bit-identical to :func:`place` of the same spec.  Thin wrapper over
+    :meth:`Client.map`.
     """
-    return Client.local().map(
+    from .service import ServiceConfig
+
+    jobs = _jobs_for(
         sources,
         seeds=seeds,
         config=config,
         legalize=legalize,
-        workers=workers,
-        mp_context=mp_context,
         scale=scale,
         utilization=utilization,
         max_iterations=max_iterations,
-        trace_dir=trace_dir,
-        progress=progress,
-        keep_placements=keep_placements,
     )
+    if workers is None:
+        workers = os.cpu_count() or 1
+    service_config = ServiceConfig(
+        workers=min(workers, max(1, len(jobs))),
+        mp_context=mp_context,
+        trace_dir=trace_dir,
+    )
+    with Client.local(service_config=service_config) as client:
+        return client.map(
+            jobs, progress=progress, keep_placements=keep_placements
+        )
 
 
 def _jobs_for(
@@ -501,10 +510,10 @@ def _jobs_for(
     utilization,
     max_iterations,
 ):
-    """The sources/seeds fan-out shared by :func:`place_many` and
-    :func:`place_service`: one source x N seeds, N sources, or prebuilt
-    :class:`~repro.parallel.PlacementJob` specs used verbatim."""
-    from .parallel import PlacementJob
+    """The sources/seeds fan-out of :meth:`Client.map`: one source x N
+    seeds, N sources, or prebuilt
+    :class:`~repro.service.jobs.PlacementJob` specs used verbatim."""
+    from .service.jobs import PlacementJob
 
     if isinstance(config, PlacerConfig):
         config = config.to_dict()
@@ -623,9 +632,9 @@ class Client:
 
     Either way: ``submit() -> JobHandle``, ``handle.stream()`` for
     per-iteration progress, ``handle.result()`` for the terminal record,
-    ``cancel()``.  :meth:`map` runs a batch through the parallel engine
-    (no service) with :func:`place_many` semantics.  Use as a context
-    manager; :meth:`close` shuts down whatever the client owns.
+    ``cancel()``, and :meth:`map` for a batch of ordinary submits.  Use
+    as a context manager; :meth:`close` shuts down whatever the client
+    owns.
     """
 
     def __init__(self, *, _service=None, _service_config=None, _events=None,
@@ -718,16 +727,15 @@ class Client:
         """Submit one job; returns a :class:`JobHandle` immediately.
 
         *source* is anything :func:`resolve_source` accepts, or a prebuilt
-        :class:`~repro.parallel.PlacementJob`/:class:`~repro.service.jobs
-        .ServiceJob` (then the per-job keywords here are ignored in favor
-        of the spec's own).  ``subscribe=True`` registers for the progress
-        stream *before* the job can dispatch, so :meth:`JobHandle.stream`
-        sees every iteration; it is also what opens the placer's
-        per-iteration observer gate at all.  A shed submit returns a
+        :class:`~repro.service.jobs.PlacementJob`/:class:`~repro.service
+        .jobs.ServiceJob` (then the per-job keywords here are ignored in
+        favor of the spec's own).  ``subscribe=True`` registers for the
+        progress stream *before* the job can dispatch, so
+        :meth:`JobHandle.stream` sees every iteration; it is also what
+        opens the placer's per-iteration observer gate at all.  A shed submit returns a
         handle with ``admitted=False`` and the structured ``shed_reason``.
         """
-        from .parallel import PlacementJob
-        from .service.jobs import ServiceJob
+        from .service.jobs import PlacementJob, ServiceJob
 
         if isinstance(source, ServiceJob):
             service_job: Any = source
@@ -805,74 +813,128 @@ class Client:
         seeds: Optional[Iterable[int]] = None,
         config: Optional[Union[PlacerConfig, Dict[str, Any]]] = None,
         legalize: bool = True,
-        workers: Optional[int] = None,
-        mp_context: str = "auto",
         scale: float = 0.2,
         utilization: float = 0.8,
         max_iterations: Optional[int] = None,
-        trace_dir=None,
         progress=None,
         keep_placements: bool = True,
     ):
-        """Run a batch through the parallel engine (no queue, no retries)
-        — :func:`place_many` semantics; returns its ``BatchResult``."""
-        from .parallel import run_batch
+        """Submit a batch, one :meth:`submit` per job, and wait for all of
+        it; returns a :class:`~repro.service.jobs.BatchResult` in job order.
 
-        jobs = _jobs_for(
-            sources,
-            seeds=seeds,
-            config=config,
-            legalize=legalize,
-            scale=scale,
-            utilization=utilization,
-            max_iterations=max_iterations,
+        *sources*/*seeds* fan out as in :func:`place_many`; each job is
+        named by :meth:`~repro.service.jobs.PlacementJob.display_name`.
+        ``progress(result, done, total)`` is called on the calling thread
+        as jobs finish — in completion order in-process, in job order over
+        a socket.  A job that is shed, cancelled or fails comes back as a
+        failed :class:`~repro.service.jobs.JobResult` with the service's
+        reason.  In-process results carry their :class:`FlowResult` (drop
+        it with ``keep_placements=False``); socket results carry scalars
+        and the positions hash only.
+        """
+        from .service.jobs import BatchResult, JobResult
+
+        jobs = [
+            dc_replace(job, name=job.display_name(index))
+            for index, job in enumerate(_jobs_for(
+                sources,
+                seeds=seeds,
+                config=config,
+                legalize=legalize,
+                scale=scale,
+                utilization=utilization,
+                max_iterations=max_iterations,
+            ))
+        ]
+        t0 = time.perf_counter()
+        results: List[Any] = [None] * len(jobs)
+        for done, (index, record, result) in enumerate(
+            self._run_to_terminal(jobs), 1
+        ):
+            if result is None:  # shed, cancelled, or no attempt reported
+                result = JobResult(
+                    name=jobs[index].name,
+                    index=index,
+                    seed=jobs[index].seed,
+                    ok=False,
+                    error=record.reason,
+                    error_type=record.failure_class or record.state.value,
+                )
+            result = dc_replace(
+                result,
+                index=index,
+                flow=result.flow if keep_placements else None,
+            )
+            results[index] = result
+            if progress is not None:
+                progress(result, done, len(jobs))
+        wall = time.perf_counter() - t0
+        report = self.report()
+        return BatchResult(
+            jobs=tuple(results),
+            wall_seconds=wall,
+            workers=int(report["config"]["workers"]),
+            mp_context=str(report["mp_context"]),
         )
-        return run_batch(
-            jobs,
-            workers=workers,
-            mp_context=mp_context,
-            trace_dir=trace_dir,
-            progress=progress,
-            keep_placements=keep_placements,
-        )
+
+    def _run_to_terminal(self, jobs):
+        """Submit *jobs*; yield ``(index, record, result)`` as each one
+        reaches a terminal state.
+
+        A batch of any size fits the service's admission limits: at most
+        ``max_queue_depth`` jobs (``workers`` if that is more; the tenant
+        quota if that is less) are in flight at once, and a submit shed
+        for capacity that others took is submitted again once one of this
+        batch's jobs finishes.
+        """
+        config = self.report()["config"]
+        window = max(int(config["max_queue_depth"]), int(config["workers"]))
+        if config.get("tenant_quota"):
+            window = min(window, int(config["tenant_quota"]))
+        pending = deque(enumerate(jobs))
+        live: "OrderedDict[str, Tuple[int, Any]]" = OrderedDict()
+        finished: "_queue.Queue" = _queue.Queue()
+
+        def submit(job):
+            if self._wire is not None:
+                handle = self.submit(job)
+                return handle.job_id, handle.admitted, handle.shed_reason, handle
+            # Registered inside the submit, so the watcher sees the
+            # worker's full result (flow included), which the stored
+            # record drops; it runs under the supervisor lock, hence the
+            # queue hop to the calling thread.
+            ticket = self.service.submit(
+                job,
+                on_terminal=lambda record, result: finished.put(
+                    (record, result)
+                ),
+            )
+            return ticket.job_id, ticket.admitted, ticket.reason, None
+
+        def next_terminal():
+            if self._wire is not None:  # oldest first: job order
+                _, (index, handle) = live.popitem(last=False)
+                record = handle.result()
+                return index, record, record.result
+            while True:  # skips the records of resubmitted sheds
+                record, result = finished.get()
+                if record.job_id in live:
+                    index, _ = live.pop(record.job_id)
+                    return index, record, result
+
+        while pending or live:
+            while pending and len(live) < window:
+                index, job = pending[0]
+                job_id, admitted, reason, handle = submit(job)
+                if not admitted and reason in _CAPACITY_SHEDS and live:
+                    break  # resubmit once one of ours has finished
+                pending.popleft()
+                live[job_id] = (index, handle)
+            yield next_terminal()
 
 
-def place_service(
-    sources: Union[PlaceSource, Sequence[Any]],
-    *,
-    seeds: Optional[Iterable[int]] = None,
-    config: Optional[Union[PlacerConfig, Dict[str, Any]]] = None,
-    legalize: bool = True,
-    scale: float = 0.2,
-    utilization: float = 0.8,
-    max_iterations: Optional[int] = None,
-    service_config=None,
-    events=None,
-) -> Dict[str, Any]:
-    """Place sources/seeds through the fault-tolerant service; returns
-    the service report (schema ``repro-service/2``).
-
-    Same fan-out semantics as :func:`place_many`, but jobs run under the
-    supervised worker pool of :mod:`repro.service`: a worker that dies or
-    hangs mid-job is restarted and the job retried (resuming from its
-    checkpoint when *service_config* sets ``checkpoint_dir``), so every
-    job either reports an HPWL bit-identical to a serial run or fails
-    with a structured, attributed reason.  *service_config* is a
-    :class:`~repro.service.ServiceConfig`; *events* an event log or a
-    JSONL path for the lifecycle trace.
-    """
-    from .service import serve_jobs
-
-    jobs = _jobs_for(
-        sources,
-        seeds=seeds,
-        config=config,
-        legalize=legalize,
-        scale=scale,
-        utilization=utilization,
-        max_iterations=max_iterations,
-    )
-    return serve_jobs(jobs, config=service_config, events=events)
+#: Shed reasons that a finished job of the same batch can clear.
+_CAPACITY_SHEDS = ("queue_full", "tenant_quota")
 
 
 __all__ = [
@@ -883,7 +945,6 @@ __all__ = [
     "PlaceSource",
     "place",
     "place_many",
-    "place_service",
     "region_for_netlist",
     "resolve_source",
 ]

@@ -5,8 +5,8 @@ Commands
 ``stats``    print structural statistics of a suite circuit or netlist file.
 ``place``    global placement (+ optional legalization, SVG, output files).
 ``batch``    run many jobs of one design (multi-start seeds) concurrently
-             over the parallel batch engine.
-``sweep``    K / net-model / seed parameter sweep over the batch engine.
+             on a private placement service.
+``sweep``    K / net-model / seed parameter sweep on a placement service.
 ``timing``   longest-path analysis of a placement.
 ``convert``  convert between the repro text format and Bookshelf.
 ``bench``    place + legalize the generator circuits under telemetry and
@@ -37,6 +37,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -264,7 +265,10 @@ def cmd_place(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    from .parallel import PlacementJob, resolve_workers, run_batch
+    from dataclasses import replace
+
+    from .api import place_many
+    from .service import PlacementJob
 
     source = _batch_source(args)
     seeds = _parse_seeds(args)
@@ -282,24 +286,38 @@ def cmd_batch(args) -> int:
         )
         for seed in seeds
     ]
-    workers = resolve_workers(args.workers)
+    batch_jobs = jobs
+    if args.checkpoint_dir:
+        # One snapshot per job, named by its display name: re-running the
+        # same batch resumes every job from its own valid snapshot.
+        ckpt_dir = Path(args.checkpoint_dir)
+        batch_jobs = [
+            replace(job, config={
+                **job.config,
+                "checkpoint_path": str(
+                    ckpt_dir / f"{job.display_name(i)}.ckpt.npz"
+                ),
+                "checkpoint_every": args.checkpoint_every,
+            })
+            for i, job in enumerate(jobs)
+        ]
+    workers = args.workers if args.workers is not None else os.cpu_count()
 
     serial = None
     if args.compare_serial:
-        print(f"batch {source}: {len(jobs)} jobs, serial baseline", flush=True)
-        serial = run_batch(
-            jobs, workers=0, keep_placements=False, progress=_print_progress
+        print(f"batch {source}: {len(jobs)} jobs, serial baseline "
+              f"(1 worker)", flush=True)
+        serial = place_many(
+            jobs, workers=1, mp_context=args.mp_context,
+            keep_placements=False, progress=_print_progress,
         )
     print(f"batch {source}: {len(jobs)} jobs, {workers} workers "
           f"({args.mp_context})", flush=True)
-    batch = run_batch(
-        jobs,
-        workers=workers,
+    batch = place_many(
+        batch_jobs,
+        workers=args.workers,
         mp_context=args.mp_context,
         trace_dir=args.trace_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
         keep_placements=False,
         progress=_print_progress,
     )
@@ -318,7 +336,9 @@ def cmd_batch(args) -> int:
 
     identical = None
     if serial is not None:
-        identical = serial.hpwls == batch.hpwls and len(serial.ok_jobs) == len(ok)
+        identical = [
+            (j.ok, j.final_hpwl_m, j.positions_hash) for j in serial.jobs
+        ] == [(j.ok, j.final_hpwl_m, j.positions_hash) for j in batch.jobs]
         speedup = (serial.wall_seconds / batch.wall_seconds
                    if batch.wall_seconds > 0 else 1.0)
         print(f"vs serial       : serial wall {serial.wall_seconds:.2f}s, "
@@ -370,7 +390,8 @@ def cmd_sweep(args) -> int:
     import itertools
     import json as _json
 
-    from .parallel import PlacementJob, run_batch
+    from .api import place_many
+    from .service import PlacementJob
 
     source = _batch_source(args)
     try:
@@ -401,7 +422,7 @@ def cmd_sweep(args) -> int:
     print(f"sweep {source}: {len(jobs)} jobs "
           f"({len(k_values)} K x {len(models)} models x {len(seeds)} seeds)",
           flush=True)
-    batch = run_batch(
+    batch = place_many(
         jobs,
         workers=args.workers,
         mp_context=args.mp_context,
@@ -1015,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.set_defaults(func=cmd_place)
 
     p_batch = sub.add_parser(
-        "batch", help="run many jobs of one design over the batch engine"
+        "batch", help="run many jobs of one design on a placement service"
     )
     _add_design_args(p_batch)
     _add_placer_args(p_batch, checkpointing=False)
@@ -1025,8 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="explicit comma-separated seed list "
                               "(overrides --jobs)")
     p_batch.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: CPU count; "
-                              "0 = serial in-process)")
+                         help="worker processes, at least 1 "
+                              "(default: CPU count)")
     p_batch.add_argument("--mp-context", default="auto", dest="mp_context",
                          choices=["auto", "fork", "spawn", "forkserver"],
                          help="multiprocessing start method (default auto)")
@@ -1036,25 +1057,25 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS", help="per-job wall-clock budget")
     p_batch.add_argument("--checkpoint-dir", metavar="DIR",
                          dest="checkpoint_dir",
-                         help="per-job resumable snapshots under DIR")
+                         help="per-job snapshots under DIR; a re-run "
+                              "resumes each job from its valid snapshot")
     p_batch.add_argument("--checkpoint-every", type=int, default=10,
                          metavar="N", help="iterations between snapshots")
-    p_batch.add_argument("--resume", action="store_true",
-                         help="resume jobs from --checkpoint-dir snapshots")
     p_batch.add_argument("--trace-dir", metavar="DIR", dest="trace_dir",
                          help="write per-job JSONL traces under DIR")
     p_batch.add_argument("--out", help="write the merged batch summary JSON here")
     p_batch.add_argument("--compare-serial", action="store_true",
                          dest="compare_serial",
-                         help="also run the batch serially and report the "
-                              "measured speedup + HPWL identity check")
+                         help="also run the batch on a one-worker service "
+                              "and report the measured speedup + "
+                              "per-job identity check")
     p_batch.add_argument("--record-bench", metavar="PATH", dest="record_bench",
                          help="merge the batch record into this "
                               "BENCH_kraftwerk.json")
     p_batch.set_defaults(func=cmd_batch)
 
     p_sweep = sub.add_parser(
-        "sweep", help="K/net-model/seed parameter sweep over the batch engine"
+        "sweep", help="K/net-model/seed parameter sweep on a placement service"
     )
     _add_design_args(p_sweep)
     p_sweep.add_argument("--K", default="0.2,1.0",
@@ -1066,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help="alternative to --seeds: use seeds 0..N-1")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: CPU count; "
-                              "0 = serial in-process)")
+                         help="worker processes, at least 1 "
+                              "(default: CPU count)")
     p_sweep.add_argument("--mp-context", default="auto", dest="mp_context",
                          choices=["auto", "fork", "spawn", "forkserver"])
     p_sweep.add_argument("--legalize", action="store_true",

@@ -2,6 +2,7 @@
 
 from .checkpoint import (
     CHECKPOINT_SCHEMA,
+    CheckpointMismatchError,
     PlacerCheckpoint,
     load_checkpoint,
     netlist_signature,
@@ -52,6 +53,7 @@ from .solver import (
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
+    "CheckpointMismatchError",
     "PlacerCheckpoint",
     "load_checkpoint",
     "netlist_signature",

@@ -10,12 +10,16 @@ verifies by SHA-256 over the final coordinates.
 The on-disk format is a single ``.npz`` archive (numpy's zip container):
 float64 arrays stored raw, plus one JSON metadata entry carrying the
 iteration counter, per-iteration history (needed by the stall detector),
-and a netlist signature that guards against resuming onto the wrong
-design.  See ``docs/ROBUSTNESS.md`` for the format contract.
+a netlist signature, a content digest of the netlist and region, and the
+run's config.  :func:`check_resumable` uses the last three to refuse a
+snapshot that another netlist or region, another trajectory-changing
+config or a larger iteration budget produced: such a resume could not
+match a fresh run.  See ``docs/ROBUSTNESS.md`` for the format contract.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -24,11 +28,25 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..netlist.io import netlist_to_string
 from . import health
 
 CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 
 PathLike = Union[str, Path]
+
+#: Config keys that steer where snapshots land and logging, never the
+#: answer.  The service's result cache leaves them out of its job key.
+OBSERVATIONAL_CONFIG = ("checkpoint_path", "checkpoint_every", "verbose")
+
+#: Config keys a resume may change: the observational ones, the
+#: wall-clock budget and the iteration cap, never the trajectory (the cap
+#: is checked against the snapshot's iteration separately).
+RESUME_FREE_CONFIG = OBSERVATIONAL_CONFIG + ("deadline_seconds", "max_iterations")
+
+
+class CheckpointMismatchError(ValueError):
+    """A snapshot that cannot continue this run (:func:`check_resumable`)."""
 
 
 def netlist_signature(netlist) -> str:
@@ -37,6 +55,27 @@ def netlist_signature(netlist) -> str:
         f"{netlist.name}/{netlist.num_cells}c/{netlist.num_nets}n/"
         f"{netlist.num_pins}p/{netlist.num_movable}m"
     )
+
+
+def content_digest(netlist, region) -> str:
+    """SHA-256 over the canonical netlist text and the region geometry.
+
+    Two placements of equal config can differ only if this differs: the
+    netlist bytes are the ``save_netlist`` text format (canonical by
+    construction), the region is its bounds and row count (a derived
+    region depends on ``utilization``, an explicit one on its file).
+    """
+    geometry = [
+        round(float(region.bounds.xlo), 9),
+        round(float(region.bounds.ylo), 9),
+        round(float(region.width), 9),
+        round(float(region.height), 9),
+        len(region.rows),
+    ]
+    digest = hashlib.sha256(netlist_to_string(netlist).encode("utf-8"))
+    digest.update(b"\x00")
+    digest.update(json.dumps(geometry).encode("utf-8"))
+    return digest.hexdigest()
 
 
 @dataclass
@@ -65,6 +104,54 @@ class PlacerCheckpoint:
     # or inspected checkpoint carries the exact knobs it was produced with.
     # Optional: checkpoints written before this field existed load as None.
     config: Optional[Dict] = None
+    # content_digest() of the netlist and region the run placed; empty in
+    # checkpoints written before this field existed, which never resume.
+    digest: str = ""
+
+
+def check_resumable(
+    ckpt: PlacerCheckpoint,
+    signature: str,
+    digest: str,
+    config: Dict,
+    limit: int,
+) -> None:
+    """Raise :class:`CheckpointMismatchError` unless resuming from *ckpt*
+    continues exactly the run a fresh start with *config* would make.
+
+    The snapshot must be of the netlist with *signature*, of the netlist
+    contents and region with :func:`content_digest` *digest*, carry a
+    config equal to *config* on every key outside
+    :data:`RESUME_FREE_CONFIG`, and stop at or before the run's iteration
+    *limit*.
+    """
+    if ckpt.signature and ckpt.signature != signature:
+        raise CheckpointMismatchError(
+            f"checkpoint was taken for {ckpt.signature!r}, not this "
+            f"netlist ({signature!r})"
+        )
+    if ckpt.digest != digest:
+        raise CheckpointMismatchError(
+            "checkpoint was taken for other netlist contents or another "
+            f"region (content digest {ckpt.digest[:12] or 'missing'}, "
+            f"this run {digest[:12]})"
+        )
+    if ckpt.config is not None:
+        current = json.loads(json.dumps(config))
+        changed = sorted(
+            key for key in set(ckpt.config) | set(current)
+            if key not in RESUME_FREE_CONFIG
+            and ckpt.config.get(key) != current.get(key)
+        )
+        if changed:
+            raise CheckpointMismatchError(
+                f"checkpoint was taken with a different config ({changed})"
+            )
+    if ckpt.iteration > limit:
+        raise CheckpointMismatchError(
+            f"checkpoint is at iteration {ckpt.iteration}, past this run's "
+            f"limit of {limit}"
+        )
 
 
 def save_checkpoint(path: PathLike, ckpt: PlacerCheckpoint) -> Path:
@@ -81,6 +168,7 @@ def save_checkpoint(path: PathLike, ckpt: PlacerCheckpoint) -> Path:
         "warm_keys": sorted(ckpt.warm),
         "best": None,
         "config": ckpt.config,
+        "digest": ckpt.digest,
     }
     arrays: Dict[str, np.ndarray] = {
         "x": np.asarray(ckpt.x, dtype=np.float64),
@@ -165,4 +253,5 @@ def load_checkpoint(path: PathLike) -> PlacerCheckpoint:
             signature=meta.get("signature", ""),
             elapsed_seconds=float(meta.get("elapsed_seconds", 0.0)),
             config=meta.get("config"),
+            digest=meta.get("digest", ""),
         )

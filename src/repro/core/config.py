@@ -295,8 +295,8 @@ class PlacerConfig:
         return cls(K=FAST_K, **overrides)
 
     # ------------------------------------------------------------------
-    # Serialization: one canonical dict form shared by the CLI, the batch
-    # engine's job specs, and checkpoint metadata.
+    # Serialization: one canonical dict form shared by the CLI, service
+    # job specs, and checkpoint metadata.
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict of every knob; round-trips via :meth:`from_dict`.

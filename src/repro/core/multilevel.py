@@ -175,12 +175,11 @@ class MultilevelPlacer:
                     self.netlist, self.region, self.config,
                     telemetry=telemetry, reuse=self.reuse,
                 )
+            # A resumed refinement keeps the fresh run's budget: the
+            # snapshot's iteration counter is the refinement's own.
             refine = refine_placer.place(
                 initial=placement,
-                max_iterations=(
-                    None if resume_from is not None
-                    else self.refine_iterations
-                ),
+                max_iterations=self.refine_iterations,
                 resume_from=resume_from,
                 iteration_hook=iteration_hook,
             )

@@ -33,6 +33,8 @@ from ..netlist import Netlist, Placement
 from ..observability import NULL_TELEMETRY
 from .checkpoint import (
     PlacerCheckpoint,
+    check_resumable,
+    content_digest,
     load_checkpoint,
     netlist_signature,
     save_checkpoint,
@@ -56,8 +58,8 @@ class IterationStats:
     """Diagnostics for one placement transformation.
 
     Frozen and free of live solver state, so histories pickle cleanly and
-    cross process boundaries (the batch engine ships them back from worker
-    processes) and checkpoint round-trips cannot drift.
+    cross process boundaries (service workers ship them back to the
+    supervisor) and checkpoint round-trips cannot drift.
     """
 
     iteration: int
@@ -89,7 +91,7 @@ class PlacementResult:
     A frozen value object: coordinates, accumulated forces, per-iteration
     history and summary scalars only — no solver handles, open files or
     telemetry recorders — so results pickle cleanly across process
-    boundaries (the parallel batch engine relies on this) and can be
+    boundaries (the placement service relies on this) and can be
     cached or compared without aliasing surprises.
     """
 
@@ -233,13 +235,26 @@ class KraftwerkPlacer:
         ``resume_from`` (a :class:`~repro.core.checkpoint.PlacerCheckpoint`
         or a path to one) continues an interrupted run bit-identically:
         positions, accumulated forces, warm-start state, history, and the
-        iteration counter are restored, so the resumed trajectory matches
-        the uninterrupted one exactly.
+        iteration counter are restored, and the stop rule is evaluated on
+        the restored history before any new iteration, so the resumed
+        trajectory matches the uninterrupted one exactly.  A snapshot of
+        another netlist or region, with a config that differs on a
+        trajectory knob,
+        or past this run's iteration limit raises
+        :class:`~repro.core.checkpoint.CheckpointMismatchError` (a
+        ``ValueError``).
         """
         cfg = self.config
         limit = max_iterations if max_iterations is not None else cfg.max_iterations
         n_mov = self.netlist.num_movable
         signature = netlist_signature(self.netlist)
+        # Hashing the netlist text costs a pass over it: only runs that
+        # write or read snapshots pay for it.
+        digest = (
+            content_digest(self.netlist, self.region)
+            if resume_from is not None or cfg.checkpoint_path is not None
+            else ""
+        )
         history: List[IterationStats] = []
         best: Optional[Dict] = None
         start_iter = 0
@@ -251,11 +266,7 @@ class KraftwerkPlacer:
                 if isinstance(resume_from, PlacerCheckpoint)
                 else load_checkpoint(resume_from)
             )
-            if ckpt.signature and ckpt.signature != signature:
-                raise ValueError(
-                    f"checkpoint was taken for {ckpt.signature!r}, not this "
-                    f"netlist ({signature!r})"
-                )
+            check_resumable(ckpt, signature, digest, cfg.to_dict(), limit)
             placement = Placement(self.netlist, ckpt.x, ckpt.y)
             e_x = np.asarray(ckpt.e_x, dtype=np.float64).copy()
             e_y = np.asarray(ckpt.e_y, dtype=np.float64).copy()
@@ -283,7 +294,6 @@ class KraftwerkPlacer:
         anchor = self._anchor_weight()
         center = self.region.bounds.center
         self._demand_cache = None
-        converged = False
         timed_out = False
         tel = self.telemetry
         guard = (
@@ -306,9 +316,14 @@ class KraftwerkPlacer:
         place_span = tel.span("place")
         place_span.__enter__()
         t_start = time.perf_counter()
+        # A snapshot written in the iteration that met the stop rule must
+        # not buy the resumed run one iteration more than the fresh one.
+        stop = self._stop_rule(history, start_iter) if history else None
+        converged = stop == "converged"
+        end = limit if stop is None else start_iter
 
         try:
-            for m in range(start_iter, limit):
+            for m in range(start_iter, end):
                 if _FAULT_HOOKS:
                     hook = _FAULT_HOOKS.get("iteration")
                     if hook is not None:
@@ -407,6 +422,7 @@ class KraftwerkPlacer:
                             elapsed_seconds=prior_seconds
                             + time.perf_counter() - t_start,
                             config=cfg.to_dict(),
+                            digest=digest,
                         ),
                     )
                 if tel.enabled:
@@ -429,24 +445,9 @@ class KraftwerkPlacer:
                     )
                 if iteration_hook:
                     iteration_hook(stats, placement)
-                if (
-                    m + 1 >= cfg.min_iterations
-                    and ratio <= cfg.stop_empty_square_cells
-                    and overflow <= cfg.stop_overflow_fraction
-                ):
-                    converged = True
-                    break
-                # Stall detection: the criteria can sit just above threshold
-                # when springs and forces balance; stop rather than spin.
-                score = [
-                    max(s.empty_square_ratio / cfg.stop_empty_square_cells,
-                        s.overflow_fraction / max(cfg.stop_overflow_fraction, 1e-9))
-                    for s in history
-                ]
-                if (
-                    len(history) >= 2 * cfg.stall_iterations
-                    and min(score[-cfg.stall_iterations:]) > min(score)
-                ):
+                stop = self._stop_rule(history, m + 1)
+                if stop is not None:
+                    converged = stop == "converged"
                     break
 
         finally:
@@ -469,6 +470,32 @@ class KraftwerkPlacer:
             timed_out=timed_out,
             recovery_escalations=self._escalations,
         )
+
+    def _stop_rule(
+        self, history: List[IterationStats], done: int
+    ) -> Optional[str]:
+        """``"converged"`` once the distribution criteria hold after
+        *done* transformations, ``"stalled"`` when springs and forces
+        balance just above them, else ``None``."""
+        cfg = self.config
+        last = history[-1]
+        if (
+            done >= cfg.min_iterations
+            and last.empty_square_ratio <= cfg.stop_empty_square_cells
+            and last.overflow_fraction <= cfg.stop_overflow_fraction
+        ):
+            return "converged"
+        score = [
+            max(s.empty_square_ratio / cfg.stop_empty_square_cells,
+                s.overflow_fraction / max(cfg.stop_overflow_fraction, 1e-9))
+            for s in history
+        ]
+        if (
+            len(history) >= 2 * cfg.stall_iterations
+            and min(score[-cfg.stall_iterations:]) > min(score)
+        ):
+            return "stalled"
+        return None
 
     @staticmethod
     def _track_best(

@@ -1,9 +1,11 @@
 """Fault-tolerant placement service: pool, supervisor, admission.
 
-The batch engine (:mod:`repro.parallel`) runs a fixed list of jobs and
-exits; this package keeps placing *indefinitely* under real-world failure
-— worker processes that die, hang, start slowly, or tear a checkpoint
-mid-write — without losing answers or changing them.  The guarantees:
+The one execution substrate: every placement job that runs in another
+process — a socket submit, a ``repro serve`` job file, a
+:func:`repro.api.place_many` batch or a ``repro sweep`` — goes through
+this package, which keeps placing under real-world failure — worker
+processes that die, hang, start slowly, or tear a checkpoint mid-write —
+without losing answers or changing them.  The guarantees:
 
 - every admitted job either completes with an HPWL **bit-identical** to a
   serial run of the same spec (retries and cross-worker checkpoint
@@ -21,7 +23,8 @@ Layering (each module only knows the one below):
   retry policy, checkpoint migration, result cache, drain;
 - :mod:`~repro.service.admission` — bounded queue, tenant quotas,
   lifecycle (accepting/draining/closed);
-- :mod:`~repro.service.jobs` — job specs, retry policy, records;
+- :mod:`~repro.service.jobs` — job specs and results, retry policy,
+  records;
 - :mod:`~repro.service.cache` — signature-keyed ``FlowResult`` LRU;
 - :mod:`~repro.service.progress` — per-job progress fan-out;
 - :mod:`~repro.service.net` — the ``repro-wire/1`` TCP front end;
@@ -33,11 +36,15 @@ Clients should reach all of this through :class:`repro.api.Client`.
 from .admission import AdmissionController, AdmissionDecision, SHED_REASONS
 from .cache import ResultCache, job_signature
 from .jobs import (
+    BATCH_SCHEMA,
     FAILURE_CLASSES,
     JOB_SCHEMA,
     AttemptRecord,
+    BatchResult,
     JobRecord,
+    JobResult,
     JobState,
+    PlacementJob,
     RetryPolicy,
     SERVICE_SCHEMA,
     ServiceJob,
@@ -52,7 +59,7 @@ from .net import (
     WireClient,
     WireError,
 )
-from .pool import WorkerDeath, WorkerHandle, WorkerPool
+from .pool import WorkerDeath, WorkerHandle, WorkerPool, resolve_mp_context
 from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
 from .supervisor import PlacementService, ServiceConfig, serve_jobs
 
@@ -60,14 +67,18 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AttemptRecord",
+    "BATCH_SCHEMA",
+    "BatchResult",
     "FAILURE_CLASSES",
     "JOB_SCHEMA",
     "JobRecord",
+    "JobResult",
     "JobState",
     "LOADGEN_SCHEMA",
     "LoadgenConfig",
     "MAX_FRAME_BYTES",
     "PROGRESS_EVENT",
+    "PlacementJob",
     "PlacementServer",
     "PlacementService",
     "ProgressBroker",
@@ -87,6 +98,7 @@ __all__ = [
     "WorkerPool",
     "classify_failure",
     "job_signature",
+    "resolve_mp_context",
     "run_loadgen",
     "serve_jobs",
 ]

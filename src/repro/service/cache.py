@@ -9,12 +9,11 @@ answered from memory without running at all.
 The cache key is a SHA-256 over the canonical byte serialization of every
 input that can change the answer:
 
-- the netlist, as :func:`repro.netlist.io.netlist_to_string` bytes (the
-  same text format ``repro convert``/``save_netlist`` write — canonical by
-  construction);
-- the placement region (bounds + row count — derived regions depend on
-  ``utilization``, explicit ones on the file, either way the geometry is
-  what matters);
+- the netlist and the placement region, as the
+  :func:`repro.core.checkpoint.content_digest` that checkpoints carry too
+  (the ``save_netlist`` text bytes plus bounds and row count — derived
+  regions depend on ``utilization``, explicit ones on the file, either
+  way the geometry is what matters);
 - the fully-materialized :meth:`PlacerConfig.to_dict` **minus** the knobs
   that are observational only (``checkpoint_path``/``checkpoint_every``/
   ``verbose`` change where snapshots land, never the answer — and the
@@ -40,13 +39,15 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from ..core.checkpoint import OBSERVATIONAL_CONFIG, content_digest
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> service)
     from ..api import FlowResult
-    from ..parallel.jobs import PlacementJob
+    from .jobs import PlacementJob
 
 #: Config knobs excluded from the job signature: they steer observability
 #: and snapshotting, never the placement answer.
-SIGNATURE_EXCLUDED_CONFIG = ("checkpoint_path", "checkpoint_every", "verbose")
+SIGNATURE_EXCLUDED_CONFIG = OBSERVATIONAL_CONFIG
 
 
 def job_signature(job: "PlacementJob") -> Optional[str]:
@@ -61,31 +62,22 @@ def job_signature(job: "PlacementJob") -> Optional[str]:
         return None
     try:
         from ..api import resolve_source
-        from ..netlist.io import netlist_to_string
 
         netlist, region, _name = resolve_source(
             job.source, utilization=job.utilization, scale=job.scale
         )
-        netlist_bytes = netlist_to_string(netlist).encode("utf-8")
+        content = content_digest(netlist, region)
     except (ValueError, TypeError, OSError):
         return None
     config = dict(job.config_dict())
     for key in SIGNATURE_EXCLUDED_CONFIG:
         config.pop(key, None)
     meta = {
-        "region": [
-            round(float(region.bounds.xlo), 9),
-            round(float(region.bounds.ylo), 9),
-            round(float(region.width), 9),
-            round(float(region.height), 9),
-            len(region.rows),
-        ],
         "config": config,
         "legalize": bool(job.legalize),
         "max_iterations": job.max_iterations,
     }
-    digest = hashlib.sha256()
-    digest.update(netlist_bytes)
+    digest = hashlib.sha256(content.encode("ascii"))
     digest.update(b"\x00")
     digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()

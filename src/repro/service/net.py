@@ -403,7 +403,7 @@ class PlacementServer:
             })
             return
 
-        def deliver(rec) -> None:
+        def deliver(rec, _result) -> None:
             try:
                 conn.enqueue({
                     "type": "result", "job": job_id,

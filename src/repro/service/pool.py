@@ -1,16 +1,14 @@
-"""The supervised, persistent worker-process pool.
+"""The supervised, persistent worker-process pool — the one way jobs
+reach other processes.
 
-Why not ``ProcessPoolExecutor``?  Two reasons, both measured:
+Two properties shape it:
 
-- **startup amortization** — the batch engine's tiny-job benchmark showed
-  a 0.77x *measured* speedup against a 3.3x estimate: process startup
-  (interpreter + numpy/scipy image) dominates small jobs.  A persistent
-  pool pays that cost once per worker, not once per batch.
-- **fault containment** — ``ProcessPoolExecutor`` declares the whole pool
-  broken when one worker dies (``BrokenProcessPool``), failing every
-  pending future.  A placement service must treat worker death as a
-  routine, *per-worker* event: reap it, requeue its job, respawn the slot
-  with capped exponential backoff, and keep serving.
+- **startup amortization** — process startup (interpreter + numpy/scipy
+  image) dominates small jobs, so workers are persistent: a pool pays
+  that cost once per worker, not once per batch;
+- **fault containment** — worker death is a routine, *per-worker* event:
+  reap it, requeue its job, respawn the slot with capped exponential
+  backoff, and keep serving.  No death ever fails a sibling's job.
 
 Plumbing choices are all in service of kill-safety:
 
@@ -32,14 +30,15 @@ means — retry policy, priorities and admission live one level up in
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..observability.events import EventLog
-from ..parallel.engine import resolve_mp_context
+from .jobs import JobResult
 
 #: Parent -> worker message tags.
 _MSG_JOB = "job"
@@ -56,6 +55,147 @@ STARTING, IDLE, BUSY, DOWN, STOPPED = (
 )
 
 
+def resolve_mp_context(name: str = "auto") -> mp.context.BaseContext:
+    """Pick a multiprocessing start method.
+
+    ``"auto"`` prefers ``fork`` (cheap on Linux: workers inherit the loaded
+    numpy/scipy images) and falls back to ``spawn`` elsewhere.  Explicit
+    names are validated against what the platform offers.
+    """
+    methods = mp.get_all_start_methods()
+    if name == "auto":
+        name = "fork" if "fork" in methods else "spawn"
+    if name not in methods:
+        raise ValueError(
+            f"start method {name!r} not available here; choose from {methods}"
+        )
+    return mp.get_context(name)
+
+
+def _execute_job(
+    payload: Dict[str, Any],
+    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
+) -> JobResult:
+    """Run one job to completion inside the current (worker) process.
+
+    Any exception is converted into a failed :class:`JobResult`; nothing a
+    single job does can take down its worker.
+
+    When the job's config names a ``checkpoint_path``, every attempt —
+    the first one included — resumes from the snapshot there if it is
+    valid for this run.  A missing, torn or corrupt snapshot, or one the
+    placer rejects as taken for another netlist, config or iteration
+    budget, means "start fresh": a resume from a valid snapshot is
+    bit-identical to a fresh run, it only saves the redone iterations.
+
+    *progress*, when given **and** the payload carries
+    ``stream_progress=True``, receives one JSON-safe dict per placer
+    transformation — the worker half of the streaming-progress bridge.
+    Otherwise the placer's observer gate stays closed: the per-iteration
+    stats are never computed at all.
+    """
+    from ..core.checkpoint import CheckpointMismatchError, try_load_checkpoint
+
+    name = payload["name"]
+    index = payload["index"]
+    seed = payload["seed"]
+    iteration_hook = None
+    if progress is not None and payload.get("stream_progress"):
+        def iteration_hook(stats, placement):  # noqa: ARG001 — placement unused
+            progress({
+                "iteration": stats.iteration,
+                "hpwl_m": stats.hpwl_m,
+                "overflow_fraction": stats.overflow_fraction,
+                "max_force": stats.max_force,
+                "seconds": round(stats.seconds, 6),
+            })
+    t0 = time.perf_counter()
+    try:
+        ckpt_path = payload["config"].get("checkpoint_path")
+        resume_from = try_load_checkpoint(ckpt_path) if ckpt_path else None
+        try:
+            flow, telemetry = _place_payload(
+                payload, resume_from, iteration_hook
+            )
+        except CheckpointMismatchError:
+            resume_from = None
+            flow, telemetry = _place_payload(payload, None, iteration_hook)
+        trace_path = payload["trace_path"]
+        if trace_path is not None:
+            telemetry.write_trace(trace_path)
+        totals = telemetry.spans.totals()
+        phases = {
+            phase: float(data.get("seconds", 0.0))
+            for phase, data in totals.items()
+        }
+        return JobResult(
+            name=name,
+            index=index,
+            seed=seed,
+            ok=True,
+            hpwl_m=flow.hpwl_m,
+            legal_hpwl_m=flow.legal_hpwl_m,
+            final_hpwl_m=flow.final_hpwl_m,
+            iterations=flow.iterations,
+            converged=flow.converged,
+            timed_out=flow.timed_out,
+            seconds=time.perf_counter() - t0,
+            recovery_escalations=flow.recovery_escalations,
+            trace_path=trace_path,
+            phases=phases,
+            flow=flow,
+            resumed_iteration=(
+                int(resume_from.iteration) if resume_from is not None
+                else None
+            ),
+            positions_hash=flow.positions_hash(),
+        )
+    except Exception as exc:  # noqa: BLE001 — isolation is the contract
+        return JobResult(
+            name=name,
+            index=index,
+            seed=seed,
+            ok=False,
+            seconds=time.perf_counter() - t0,
+            error=str(exc),
+            error_type=type(exc).__name__,
+        )
+
+
+def _place_payload(payload, resume_from, iteration_hook):
+    """One :func:`repro.api.place` call for *payload*, under its faults
+    and a fresh telemetry recorder; returns ``(flow, telemetry)``."""
+    from contextlib import ExitStack
+
+    from ..api import place
+    from ..observability import Telemetry
+
+    telemetry = Telemetry()
+    with ExitStack() as stack:
+        for site, kwargs in payload["inject_faults"]:
+            stack.enter_context(_fault_context(site, **kwargs))
+        flow = place(
+            payload["source"],
+            config=payload["config"],
+            legalize=payload["legalize"],
+            seed=payload["seed"],
+            scale=payload["scale"],
+            utilization=payload["utilization"],
+            max_iterations=payload["max_iterations"],
+            telemetry=telemetry,
+            resume_from=resume_from,
+            iteration_hook=iteration_hook,
+        )
+    return flow, telemetry
+
+
+def _fault_context(site: str, **kwargs):
+    """Resolve a job-spec fault name to its repro.testing.faults installer."""
+    from ..testing.faults import resolve_fault
+
+    return resolve_fault(site, **kwargs)
+
+
 def _pool_worker_main(slot: int, worker_id: int, conn, heartbeat, init) -> None:
     """Worker process entry point (top-level: spawn/forkserver-picklable).
 
@@ -66,7 +206,6 @@ def _pool_worker_main(slot: int, worker_id: int, conn, heartbeat, init) -> None:
     import threading
 
     from ..core import health
-    from ..parallel.engine import _execute_job
     from ..testing import faults
 
     faults.install_env_hooks()
@@ -426,4 +565,5 @@ __all__ = [
     "WorkerDeath",
     "WorkerHandle",
     "WorkerPool",
+    "resolve_mp_context",
 ]

@@ -1,21 +1,24 @@
 """The placement service supervisor: queue, retries, migration, drain.
 
-This is the layer that turns the batch engine's "run N jobs, hope"
-into a *service*: jobs are admitted (or shed with a reason), queued by
-priority, dispatched to the supervised :class:`~repro.service.pool
-.WorkerPool`, watched against per-job wall-clock deadlines, and — when a
-worker dies or hangs mid-job — retried under the job's
+Every job that runs in another process goes through here — one-off
+submits, socket clients and :meth:`repro.api.Client.map` batches alike.
+Jobs are admitted (or shed with a reason), queued by priority,
+dispatched to the supervised :class:`~repro.service.pool.WorkerPool`,
+watched against per-job wall-clock deadlines, and — when a worker dies
+or hangs mid-job — retried under the job's
 :class:`~repro.service.jobs.RetryPolicy` with capped exponential backoff.
 
 **Migration** is the checkpoint story end to end: every admitted job gets
 an atomic ``.npz`` snapshot path (unless its config already has one), the
-placer saves every ``checkpoint_every`` iterations, and a retried attempt
-runs with ``resume=True`` — so a job killed on worker A resumes on worker
-B from its last committed snapshot.  Because snapshot replacement is
-atomic and resumed runs are bit-identical to uninterrupted ones, the
-*answer* never depends on how many times the job was killed; only its
-wall-clock does.  A torn or corrupt snapshot degrades to a fresh start,
-never to a wrong result.
+placer saves every ``checkpoint_every`` iterations, and every attempt
+resumes from a snapshot that is valid for it — so a job killed on worker
+A resumes on worker B from its last committed snapshot.  Because snapshot
+replacement is atomic and a resume from a valid snapshot is bit-identical
+to an uninterrupted run, the *answer* never depends on how many times the
+job was killed; only its wall-clock does.  A torn or corrupt snapshot, or
+one taken for another netlist, config or iteration budget (a stale file
+from an earlier server using the same ``checkpoint_dir``), degrades to a
+fresh start, never to a wrong result.
 
 Threading model: one background supervisor thread owns the pool and runs
 the tick loop (promote backoff jobs → dispatch → poll → classify deaths →
@@ -36,15 +39,15 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..observability.events import EventLog, latency_summary
-from ..parallel.engine import _job_payload
-from ..parallel.jobs import JobResult, PlacementJob
 from .admission import AdmissionController
 from .cache import ResultCache, job_signature
 from .jobs import (
     SERVICE_SCHEMA,
     AttemptRecord,
     JobRecord,
+    JobResult,
     JobState,
+    PlacementJob,
     RetryPolicy,
     ServiceJob,
     SubmitResult,
@@ -55,6 +58,31 @@ from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
 
 #: Terminal job states — a record in one of these never changes again.
 _TERMINAL = (JobState.DONE, JobState.FAILED, JobState.CANCELLED, JobState.SHED)
+
+
+def _job_payload(
+    job: PlacementJob, index: int, trace_dir: Optional[Path]
+) -> Dict[str, Any]:
+    """Everything a worker needs to run *job*, as one picklable dict."""
+    name = job.display_name(index)
+    return {
+        "name": name,
+        "index": index,
+        "seed": int(job.seed),
+        "source": job.source,
+        "config": job.config_dict(),
+        "legalize": job.legalize,
+        "max_iterations": job.max_iterations,
+        "scale": job.scale,
+        "utilization": job.utilization,
+        "inject_faults": tuple(job.inject_faults),
+        "trace_path": str(trace_dir / f"{name}.trace.jsonl")
+        if trace_dir is not None
+        else None,
+        # Set at dispatch when a client subscribed to this job; opens the
+        # placer's per-iteration observer gate.
+        "stream_progress": False,
+    }
 
 
 @dataclass(frozen=True)
@@ -247,11 +275,16 @@ class PlacementService:
         timeout_seconds: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         progress: Optional[Any] = None,
+        on_terminal: Optional[Any] = None,
     ) -> SubmitResult:
         """Admit one job (or shed it with a structured reason).
 
         *progress*, when given, is subscribed to the job **before** it can
-        dispatch, so the stream is complete from iteration one.  A job
+        dispatch, so the stream is complete from iteration one.
+        *on_terminal* is registered the same way, as :meth:`on_terminal`
+        would, so it sees the worker's full result (flow included) even
+        for a job that finishes before this call returns, and a shed
+        job's terminal record too.  A job
         whose content signature is already in the result cache never
         dispatches at all: it goes terminal-DONE inside this call with the
         stored flow (bit-identical to the run that seeded it) and
@@ -285,6 +318,8 @@ class PlacementService:
             self._order.append(spec.job_id)
             if progress is not None:
                 self.broker.subscribe(spec.job_id, progress)
+            if on_terminal is not None:
+                self._watchers.setdefault(spec.job_id, []).append(on_terminal)
             if cached_flow is not None:
                 record.cached = True
                 record.result = self._result_from_flow(spec, seq, cached_flow)
@@ -410,13 +445,16 @@ class PlacementService:
         self.broker.unsubscribe(handle)
 
     def on_terminal(self, job_id: str, callback) -> None:
-        """Call ``callback(record)`` once *job_id* reaches a terminal
-        state — immediately if it already has (no submit/register race).
-        Callbacks run under the supervisor lock; enqueue and return."""
+        """Call ``callback(record, result)`` once *job_id* reaches a
+        terminal state — immediately if it already has (no
+        submit/register race).  *result* is ``record.result``, except for
+        a job a worker ran, where it still carries the flow the stored
+        record drops.  Callbacks run under the supervisor lock; enqueue
+        and return."""
         with self._cond:
             record = self._records.get(job_id)
             if record is not None and record.state in _TERMINAL:
-                callback(record)
+                callback(record, record.result)
                 return
             self._watchers.setdefault(job_id, []).append(callback)
 
@@ -428,15 +466,21 @@ class PlacementService:
             "record": record.to_dict(),
         }
 
-    def _job_terminal(self, record: JobRecord) -> None:
+    def _job_terminal(
+        self, record: JobRecord, result: Optional[JobResult] = None
+    ) -> None:
         """Fan a terminal transition out: one ``result`` event to every
-        subscriber, then the watcher callbacks, then drop the subs.
-        Called under ``self._cond`` at *every* terminal transition."""
+        subscriber, then the watcher callbacks with *result* (the
+        worker's, flow included; default ``record.result``), then drop
+        the subs.  Called under ``self._cond`` at *every* terminal
+        transition."""
         self.broker.publish(record.job_id, self._terminal_event(record))
         self.broker.close_job(record.job_id)
+        if result is None:
+            result = record.result
         for callback in self._watchers.pop(record.job_id, ()):
             try:
-                callback(record)
+                callback(record, result)
             except Exception:  # noqa: BLE001 — watcher death is its problem
                 pass
 
@@ -550,16 +594,7 @@ class PlacementService:
             attempt = record.attempt_count + 1
             token = f"{job_id}#a{attempt}"
             payload = _job_payload(
-                record.spec.job,
-                record.seq,
-                self._trace_dir,
-                # The flow must travel back when it can seed the cache;
-                # without a cache (or for an uncacheable spec) results
-                # stay scalar, as before.
-                keep_placements=(
-                    self.cache is not None and record.signature is not None
-                ),
-                resume=attempt > 1,
+                record.spec.job, record.seq, self._trace_dir
             )
             # Observer gating across the process boundary: the flag is
             # read once at dispatch; no subscriber means the worker never
@@ -613,17 +648,13 @@ class PlacementService:
             if result.ok:
                 attempt.outcome = "done"
                 record.state = JobState.DONE
-                if (
-                    self.cache is not None
-                    and record.signature is not None
-                    and result.flow is not None
-                ):
+                if self.cache is not None and record.signature is not None:
                     self.cache.put(record.signature, result.flow)
-                    # The cache owns the coordinate arrays from here; the
-                    # record keeps scalars + positions hash, as before the
-                    # cache existed (records outlive the LRU budget).
-                    result = replace(result, flow=None)
-                record.result = result
+                # The stored record, and the result event built from it,
+                # keep scalars + positions hash (records outlive the
+                # cache's LRU budget, so they must not pin coordinate
+                # arrays); only the watchers see the flow.
+                record.result = replace(result, flow=None)
                 record.finished_at = now
                 self._tenant_load[record.spec.tenant] -= 1
                 self.events.emit(
@@ -632,7 +663,7 @@ class PlacementService:
                     hpwl_m=result.final_hpwl_m,
                     resumed_iteration=result.resumed_iteration,
                 )
-                self._job_terminal(record)
+                self._job_terminal(record, result)
             else:
                 record.result = result
                 self._fail_attempt(

@@ -385,12 +385,13 @@ def install_process_faults(specs: List[FaultSpec]) -> int:
 def install_env_hooks() -> int:
     """Install every fault spec from :data:`FAULT_SPEC_ENV`, process-lifetime.
 
-    Called from worker initializers (the batch engine's pool and the
-    service worker main), so injection registered in the parent reaches
-    workers under **every** start method — ``fork`` inherits the hook
-    registry for free, but ``spawn``/``forkserver`` workers start from a
-    clean interpreter and must re-install from the environment.  Returns
-    the number of hooks installed.
+    Called at the start of every service pool worker
+    (:func:`repro.service.pool._pool_worker_main`), so injection
+    registered in the parent reaches workers under **every** start
+    method — ``fork`` inherits the hook registry for free, but
+    ``spawn``/``forkserver`` workers start from a clean interpreter and
+    must re-install from the environment.  Returns the number of hooks
+    installed.
     """
     return install_process_faults(env_fault_specs())
 

@@ -12,7 +12,7 @@ from repro import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.core import netlist_signature
+from repro.core import CheckpointMismatchError, netlist_signature
 
 
 def _coords_digest(placement) -> str:
@@ -189,6 +189,108 @@ def _run_until_torn_write(path, once_path):
             circuit.region,
             PlacerConfig(checkpoint_path=str(path), checkpoint_every=2),
         ).place(max_iterations=8)
+
+
+class TestResumeValidity:
+    """A snapshot resumes only the run that wrote it: same netlist, same
+    trajectory knobs, and no further than the run's iteration limit."""
+
+    def _snapshot(self, circuit, path, **knobs):
+        KraftwerkPlacer(
+            circuit.netlist,
+            circuit.region,
+            PlacerConfig(checkpoint_path=str(path), checkpoint_every=2,
+                         **knobs),
+        ).place(max_iterations=4)
+        return path
+
+    def test_resume_under_another_config_rejected(
+        self, tiny_circuit, tmp_path
+    ):
+        path = self._snapshot(tiny_circuit, tmp_path / "s.npz",
+                              K=0.2, seed=1)
+        with pytest.raises(CheckpointMismatchError,
+                           match="different config.*'K'.*'seed'"):
+            KraftwerkPlacer(
+                tiny_circuit.netlist, tiny_circuit.region,
+                PlacerConfig(K=1.0, seed=7),
+            ).place(max_iterations=8, resume_from=str(path))
+        # A plain ValueError too, like a netlist mismatch.
+        assert issubclass(CheckpointMismatchError, ValueError)
+
+    def test_resume_onto_another_region_rejected(self, tiny_circuit, tmp_path):
+        # Same netlist, same config, another utilization: only the
+        # region differs, and the snapshot must still be refused.
+        from repro.api import region_for_netlist
+
+        netlist = tiny_circuit.netlist
+        path = tmp_path / "s.npz"
+        KraftwerkPlacer(
+            netlist, region_for_netlist(netlist, 0.8),
+            PlacerConfig(checkpoint_path=str(path), checkpoint_every=2),
+        ).place(max_iterations=4)
+        with pytest.raises(CheckpointMismatchError,
+                           match="other netlist contents or another region"):
+            KraftwerkPlacer(netlist, region_for_netlist(netlist, 0.6)).place(
+                max_iterations=4, resume_from=str(path)
+            )
+
+    def test_snapshot_without_content_digest_rejected(
+        self, tiny_circuit, tmp_path
+    ):
+        path = self._snapshot(tiny_circuit, tmp_path / "s.npz")
+        ckpt = load_checkpoint(path)
+        ckpt.digest = ""
+        with pytest.raises(CheckpointMismatchError, match="digest missing"):
+            KraftwerkPlacer(
+                tiny_circuit.netlist, tiny_circuit.region
+            ).place(max_iterations=8, resume_from=ckpt)
+
+    def test_resume_past_the_limit_rejected(self, tiny_circuit, tmp_path):
+        path = self._snapshot(tiny_circuit, tmp_path / "s.npz")
+        with pytest.raises(CheckpointMismatchError,
+                           match="iteration 4, past this run's limit of 3"):
+            KraftwerkPlacer(
+                tiny_circuit.netlist, tiny_circuit.region
+            ).place(max_iterations=3, resume_from=str(path))
+
+    def test_knobs_that_leave_the_trajectory_alone_may_change(
+        self, tiny_circuit, tmp_path
+    ):
+        path = self._snapshot(tiny_circuit, tmp_path / "s.npz")
+        full = KraftwerkPlacer(tiny_circuit.netlist, tiny_circuit.region).place(
+            max_iterations=8
+        )
+        resumed = KraftwerkPlacer(
+            tiny_circuit.netlist, tiny_circuit.region,
+            PlacerConfig(checkpoint_path=str(tmp_path / "other.npz"),
+                         checkpoint_every=3, deadline_seconds=600.0,
+                         max_iterations=50),
+        ).place(max_iterations=8, resume_from=str(path))
+        assert _coords_digest(resumed.placement) == _coords_digest(
+            full.placement
+        )
+
+    def test_resume_from_the_stopping_iteration_stops_there(self, tmp_path):
+        """The snapshot of the iteration that met the stop rule resumes to
+        the fresh run's answer, not one iteration past it."""
+        from repro import make_circuit
+
+        circuit = make_circuit("primary1", scale=0.05)
+        path = tmp_path / "s.npz"
+        fresh = KraftwerkPlacer(
+            circuit.netlist, circuit.region,
+            PlacerConfig(checkpoint_path=str(path), checkpoint_every=1),
+        ).place()
+        assert fresh.iterations < PlacerConfig().max_iterations
+        resumed = KraftwerkPlacer(circuit.netlist, circuit.region).place(
+            resume_from=str(path)
+        )
+        assert resumed.iterations == fresh.iterations
+        assert resumed.converged == fresh.converged
+        assert _coords_digest(resumed.placement) == _coords_digest(
+            fresh.placement
+        )
 
 
 class TestTornWrite:

@@ -151,7 +151,7 @@ class TestBatchExitCodes:
     ):
         rc = main([
             "batch", "--circuit", "definitely-not-a-circuit",
-            "--jobs", "2", "--workers", "0",
+            "--jobs", "2", "--workers", "1",
             "--out", str(tmp_path / "batch.json"),
         ])
         assert rc == 2  # nothing succeeded

@@ -157,6 +157,28 @@ class TestVCycle:
         assert resumed.coarse_results == []
         assert resumed.placement.netlist is small_circuit.netlist
 
+    def test_resume_keeps_the_refine_budget(self, small_circuit, tmp_path):
+        """The snapshot's counter is the refinement's own, so a resume runs
+        to the fresh run's refine budget, not the flat iteration cap."""
+        ckpt = tmp_path / "ml.npz"
+        cfg = PlacerConfig(
+            multilevel_levels=1,
+            multilevel_refine_iterations=6,
+            checkpoint_path=str(ckpt),
+            checkpoint_every=4,
+        )
+        fresh = MultilevelPlacer(
+            small_circuit.netlist, small_circuit.region, cfg
+        ).place()
+        resumed = MultilevelPlacer(
+            small_circuit.netlist, small_circuit.region, cfg
+        ).place(resume_from=str(ckpt))
+        assert resumed.refine_result.iterations == (
+            fresh.refine_result.iterations
+        )
+        assert np.array_equal(resumed.placement.x, fresh.placement.x)
+        assert np.array_equal(resumed.placement.y, fresh.placement.y)
+
     def test_cli_multilevel_flag(self, capsys):
         from repro.cli import main
 

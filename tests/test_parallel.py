@@ -1,15 +1,17 @@
-"""Parallel batch engine + repro.api facade tests.
+"""Batches on the placement service + the repro.api facade.
 
-The batch engine's contract is: per-job results are bit-identical to a
-serial run at the same seeds regardless of worker count, one diverged job
-never kills its siblings, and observability output merges per-job traces
-into one summary.  Worker counts here stay small (0/1/2) so the suite runs
-on single-core CI boxes.
+A batch is a list of ordinary service jobs (:meth:`repro.api.Client.map`,
+:func:`repro.place_many`, ``repro batch``/``repro sweep``).  The contract:
+per-job results are bit-identical to :func:`repro.place` of the same spec
+at any worker count, one diverged job never kills its siblings, and
+observability output merges per-job traces into one summary.  Worker
+counts here stay small (1/2) so the suite runs on single-core CI boxes.
 """
 
 import json
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -22,15 +24,15 @@ from repro import (
     KraftwerkPlacer,
     PlacementJob,
     PlacerConfig,
+    load_checkpoint,
     place,
     place_many,
-    run_batch,
 )
-from repro.api import region_for_netlist, resolve_source
+from repro.api import Client, region_for_netlist, resolve_source
 from repro.netlist import GeneratorSpec, generate_circuit, save_bookshelf, save_netlist
 from repro.observability import read_trace_jsonl
 from repro.observability.bench import merge_batch_record
-from repro.parallel import resolve_mp_context, resolve_workers
+from repro.service import RetryPolicy, ServiceConfig, resolve_mp_context
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,13 @@ def tiny_jobs(seeds, **kwargs):
     kwargs.setdefault("legalize", False)
     kwargs.setdefault("max_iterations", 8)
     return [PlacementJob(source="tiny", seed=s, **kwargs) for s in seeds]
+
+
+def serial_flows(seeds, **kwargs):
+    """The serial baseline: one :func:`repro.place` per job spec."""
+    kwargs.setdefault("legalize", False)
+    kwargs.setdefault("max_iterations", 8)
+    return [place("tiny", seed=s, **kwargs) for s in seeds]
 
 
 # ----------------------------------------------------------------------
@@ -222,45 +231,48 @@ class TestPlaceFacade:
 # ----------------------------------------------------------------------
 class TestBatchDeterminism:
     @pytest.fixture(scope="class")
-    def serial_batch(self):
-        return run_batch(tiny_jobs(range(4)), workers=0)
+    def serial(self):
+        return serial_flows(range(4))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pool_matches_serial_bitwise(self, serial_batch, workers):
-        batch = run_batch(tiny_jobs(range(4)), workers=workers)
-        assert batch.hpwls == serial_batch.hpwls
-        for a, b in zip(batch.jobs, serial_batch.jobs):
-            assert a.name == b.name and a.seed == b.seed
-            assert a.iterations == b.iterations
-            assert np.array_equal(a.flow.placement.x, b.flow.placement.x)
+    def test_pool_matches_serial_bitwise(self, serial, workers):
+        batch = place_many(tiny_jobs(range(4)), workers=workers)
+        assert batch.hpwls == tuple(f.final_hpwl_m for f in serial)
+        for job, flow in zip(batch.jobs, serial):
+            assert job.name == f"tiny-s{flow.seed}" and job.seed == flow.seed
+            assert job.iterations == flow.iterations
+            assert job.positions_hash == flow.positions_hash()
+            assert np.array_equal(job.flow.placement.x, flow.placement.x)
 
-    def test_ci_worker_count_matches_serial(self, serial_batch):
+    def test_ci_worker_count_matches_serial(self, serial):
         """CI runs this suite under REPRO_TEST_WORKERS={1,4}; locally it
-        defaults to a 2-worker pool."""
+        defaults to a 2-worker service."""
         workers = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
-        batch = run_batch(tiny_jobs(range(4)), workers=workers)
-        assert batch.hpwls == serial_batch.hpwls
+        batch = place_many(tiny_jobs(range(4)), workers=workers)
+        assert batch.hpwls == tuple(f.final_hpwl_m for f in serial)
 
-    def test_results_in_job_order(self, serial_batch):
-        assert [j.index for j in serial_batch.jobs] == list(range(4))
-        assert [j.seed for j in serial_batch.jobs] == list(range(4))
+    def test_results_in_job_order(self):
+        batch = place_many(tiny_jobs(range(4)), workers=2)
+        assert [j.index for j in batch.jobs] == list(range(4))
+        assert [j.seed for j in batch.jobs] == list(range(4))
 
-    def test_distinct_seeds_distinct_placements(self, serial_batch):
-        assert len(set(serial_batch.hpwls)) > 1
+    def test_distinct_seeds_distinct_placements(self, serial):
+        batch = place_many(tiny_jobs(range(4)), workers=2)
+        assert len(set(batch.hpwls)) > 1
 
 
 # ----------------------------------------------------------------------
 # Failure isolation
 # ----------------------------------------------------------------------
 class TestFailureIsolation:
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_diverged_job_does_not_kill_batch(self, workers):
         jobs = tiny_jobs(range(3))
         jobs[1] = PlacementJob(
             source="tiny", seed=1, legalize=False, max_iterations=8,
             inject_faults=(("corrupt_field", {"at_iteration": 1}),),
         )
-        batch = run_batch(jobs, workers=workers, keep_placements=False)
+        batch = place_many(jobs, workers=workers, keep_placements=False)
         oks = [j.ok for j in batch.jobs]
         assert oks == [True, False, True]
         failed = batch.jobs[1]
@@ -269,18 +281,18 @@ class TestFailureIsolation:
         assert failed.flow is None
         assert len(batch.ok_jobs) == 2 and len(batch.failed_jobs) == 1
 
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_source_is_isolated(self, workers):
         jobs = tiny_jobs(range(2))
         jobs.append(PlacementJob(source="definitely-not-a-circuit"))
-        batch = run_batch(jobs, workers=workers, keep_placements=False)
+        batch = place_many(jobs, workers=workers, keep_placements=False)
         assert [j.ok for j in batch.jobs] == [True, True, False]
         assert batch.jobs[2].error_type == "ValueError"
 
     def test_unknown_fault_site_is_isolated(self):
-        batch = run_batch(
+        batch = place_many(
             [PlacementJob(source="tiny", inject_faults=(("no_site", {}),))],
-            workers=0,
+            workers=1,
         )
         assert not batch.jobs[0].ok
         assert "unknown fault site" in batch.jobs[0].error
@@ -292,18 +304,28 @@ class TestFailureIsolation:
             source="tiny", seed=2, legalize=False, config=slow_cfg,
             inject_faults=(("burn_deadline", {"seconds": 0.03}),),
         ))
-        batch = run_batch(jobs, workers=0)
+        batch = place_many(jobs, workers=1)
         assert batch.jobs[0].ok and batch.jobs[1].ok
         assert batch.jobs[2].ok and batch.jobs[2].timed_out
 
+    def test_shed_job_comes_back_failed_with_the_reason(self):
+        # A draining service admits nothing; no finished job can change
+        # that, so map hands the sheds back instead of waiting.
+        with Client.local(service_config=ServiceConfig(workers=1)) as client:
+            client.drain()
+            batch = client.map(tiny_jobs(range(2)))
+        assert [j.ok for j in batch.jobs] == [False, False]
+        assert all(j.error_type == "shed" for j in batch.jobs)
+        assert all(j.error == "draining" for j in batch.jobs)
+
 
 class TestFaultInjectionAcrossStartMethods:
-    """Fault hooks must reach workers under every start method.
+    """Fault hooks must reach service workers under every start method.
 
     ``fork`` workers inherit the parent's in-memory hook registry, but
     ``spawn``/``forkserver`` workers start from a clean interpreter — the
-    worker initializer must re-install faults from ``REPRO_FAULT_SPECS``
-    (see :func:`repro.testing.faults.install_env_hooks`), or chaos tests
+    pool worker must re-install faults from ``REPRO_FAULT_SPECS`` (see
+    :func:`repro.testing.faults.install_env_hooks`), or chaos tests
     silently stop injecting anything the moment the start method changes.
     """
 
@@ -317,15 +339,17 @@ class TestFaultInjectionAcrossStartMethods:
         if method not in mp.get_all_start_methods():
             pytest.skip(f"start method {method!r} unavailable")
         registry_before = dict(health._FAULT_HOOKS)
-        # Two jobs: a single-job batch short-circuits to in-parent serial
-        # execution and would never exercise a worker at all.  One worker
-        # runs them in order; the process-lifetime hook's call counter
-        # means it fires during job 0's iteration 1 and never again.
+        # One worker runs both jobs in order; the process-lifetime hook's
+        # call counter means it fires during job 0's iteration 1 and never
+        # again.  One attempt per job, so the failure is not retried away.
+        config = ServiceConfig(
+            workers=1, mp_context=method,
+            retry=RetryPolicy(max_attempts=1),
+        )
         with env_faults([("corrupt_field", {"at_iteration": 1})]):
-            batch = run_batch(
-                tiny_jobs([0, 1]), workers=1, mp_context=method,
-                keep_placements=False,
-            )
+            with Client.local(service_config=config) as client:
+                batch = client.map(tiny_jobs([0, 1]), keep_placements=False)
+        assert batch.mp_context == method
         # The fault fired *in the worker*: the first job diverged there.
         assert [j.ok for j in batch.jobs] == [False, True]
         assert batch.jobs[0].error_type == "NumericalHealthError"
@@ -340,8 +364,8 @@ class TestBatchAggregates:
     @pytest.fixture(scope="class")
     def batch(self, tmp_path_factory):
         trace_dir = tmp_path_factory.mktemp("traces")
-        result = run_batch(
-            tiny_jobs(range(3)), workers=0, trace_dir=trace_dir
+        result = place_many(
+            tiny_jobs(range(3)), workers=1, trace_dir=trace_dir
         )
         return result, trace_dir
 
@@ -409,7 +433,7 @@ class TestBatchAggregates:
 # ----------------------------------------------------------------------
 class TestPlaceMany:
     def test_multi_start_fanout(self):
-        batch = place_many("tiny", seeds=range(3), workers=0,
+        batch = place_many("tiny", seeds=range(3), workers=2,
                            legalize=False, max_iterations=8)
         assert len(batch.jobs) == 3
         assert [j.seed for j in batch.jobs] == [0, 1, 2]
@@ -417,21 +441,21 @@ class TestPlaceMany:
 
     def test_source_sequence(self, tiny_circuit):
         batch = place_many(
-            ["tiny", tiny_circuit], workers=0, legalize=False,
+            ["tiny", tiny_circuit], workers=1, legalize=False,
             max_iterations=4,
         )
         assert len(batch.jobs) == 2 and all(j.ok for j in batch.jobs)
 
     def test_prebuilt_jobs_pass_through(self):
-        batch = place_many(tiny_jobs([0, 1]), workers=0)
+        batch = place_many(tiny_jobs([0, 1]), workers=1)
         assert [j.seed for j in batch.jobs] == [0, 1]
 
     def test_seed_source_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="seeds for"):
-            place_many(["tiny", "tiny", "tiny"], seeds=[0, 1], workers=0)
+            place_many(["tiny", "tiny", "tiny"], seeds=[0, 1], workers=1)
 
     def test_matches_place_bitwise(self):
-        batch = place_many("tiny", seeds=[5], workers=0, legalize=False)
+        batch = place_many("tiny", seeds=[5], workers=1, legalize=False)
         single = place("tiny", seed=5, legalize=False)
         assert batch.jobs[0].final_hpwl_m == single.final_hpwl_m
         assert np.array_equal(
@@ -440,15 +464,18 @@ class TestPlaceMany:
 
 
 # ----------------------------------------------------------------------
-# Engine plumbing
+# Batch plumbing
 # ----------------------------------------------------------------------
 class TestEnginePlumbing:
     def test_resolve_workers(self):
-        assert resolve_workers(0) == 0
-        assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
+        """``None`` means the CPU count, capped at one worker per job;
+        there is no in-process mode, so fewer than one worker is refused."""
+        batch = place_many(tiny_jobs([0, 1]), workers=None)
+        assert batch.workers == min(os.cpu_count() or 1, 2)
+        assert place_many(tiny_jobs([0]), workers=8).workers == 1
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                place_many(tiny_jobs([0]), workers=workers)
 
     def test_resolve_mp_context(self):
         assert resolve_mp_context("auto").get_start_method() in (
@@ -459,30 +486,64 @@ class TestEnginePlumbing:
 
     def test_progress_streams_in_completion_order(self):
         seen = []
-        run_batch(
-            tiny_jobs(range(3)), workers=0, keep_placements=False,
-            progress=lambda r, done, total: seen.append((r.name, done, total)),
+        caller = threading.get_ident()
+        place_many(
+            tiny_jobs(range(3)), workers=2, keep_placements=False,
+            progress=lambda r, done, total: seen.append(
+                (r.name, done, total, threading.get_ident())
+            ),
         )
         assert [s[1] for s in seen] == [1, 2, 3]
         assert all(s[2] == 3 for s in seen)
+        assert sorted(s[0] for s in seen) == ["tiny-s0", "tiny-s1", "tiny-s2"]
+        # Progress runs on the calling thread, never under the supervisor.
+        assert all(s[3] == caller for s in seen)
 
     def test_empty_batch(self):
-        batch = run_batch([], workers=2)
+        batch = place_many([], workers=2)
         assert batch.jobs == () and batch.best is None
         assert batch.median_hpwl_m is None
 
     def test_checkpoint_dir_resume_bit_identical(self, tmp_path):
-        full = run_batch(tiny_jobs([0], max_iterations=None), workers=0)
-        run_batch(
-            tiny_jobs([0], max_iterations=4), workers=0,
-            checkpoint_dir=tmp_path, checkpoint_every=2,
-        )
+        from repro.cli import main
+
+        full = place("tiny", seed=0, legalize=False)
+        common = ["batch", "--circuit", "tiny", "--jobs", "1",
+                  "--workers", "1", "--checkpoint-dir", str(tmp_path)]
+        assert main(common + ["--max-iterations", "4",
+                              "--checkpoint-every", "2"]) == 0
         assert (tmp_path / "tiny-s0.ckpt.npz").exists()
-        resumed = run_batch(
-            tiny_jobs([0], max_iterations=None), workers=0,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        assert resumed.hpwls == full.hpwls
+        out = tmp_path / "resumed.json"
+        assert main(common + ["--out", str(out)]) == 0
+        [job] = json.loads(out.read_text())["jobs"]
+        assert job["resumed_iteration"] == 4
+        assert job["final_hpwl_m"] == full.final_hpwl_m
+        assert job["positions_hash"] == full.positions_hash()
+
+    def test_checkpoint_dir_snapshot_of_another_region_is_refused(
+        self, tmp_path, tiny_circuit
+    ):
+        """A snapshot left at the stopping iteration by a run at another
+        utilization must not answer for this one: the job starts fresh
+        and matches place() at its own utilization."""
+        from repro.cli import main
+
+        netlist = tmp_path / "tiny.netlist"
+        save_netlist(tiny_circuit.netlist, netlist)
+        common = ["batch", "--netlist", str(netlist), "--jobs", "1",
+                  "--workers", "1", "--max-iterations", "4",
+                  "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main(common + ["--utilization", "0.8"]) == 0
+        [snapshot] = (tmp_path / "ckpt").glob("*.ckpt.npz")
+        assert load_checkpoint(snapshot).iteration == 4
+        out = tmp_path / "again.json"
+        assert main(common + ["--utilization", "0.6", "--out", str(out)]) == 0
+        [job] = json.loads(out.read_text())["jobs"]
+        full = place(str(netlist), seed=0, legalize=False, utilization=0.6,
+                     max_iterations=4)
+        assert job["resumed_iteration"] is None
+        assert job["final_hpwl_m"] == full.final_hpwl_m
+        assert job["positions_hash"] == full.positions_hash()
 
     def test_job_config_dict_normalizes(self):
         job = PlacementJob(source="tiny", seed=4,
@@ -500,6 +561,41 @@ class TestEnginePlumbing:
         assert PlacementJob(source="x", name="custom").display_name(0) == (
             "custom"
         )
+
+    def test_map_larger_than_the_admission_limits(self):
+        # Five jobs against room for two (one queued, one running): map
+        # keeps its batch inside the limits instead of shedding the rest.
+        seeds = [0, 1, 2, 3, 4]
+        config = ServiceConfig(workers=1, max_queue_depth=1)
+        with Client.local(service_config=config) as client:
+            batch = client.map(tiny_jobs(seeds))
+            report = client.report()
+        assert all(job.ok for job in batch.jobs)
+        assert report["n_shed"] == 0
+        assert [j.final_hpwl_m for j in batch.jobs] == [
+            f.final_hpwl_m for f in serial_flows(seeds)
+        ]
+
+    def test_map_resubmits_jobs_shed_for_capacity(self):
+        # Two workers but room for one queued job: a submit that races
+        # the dispatch of the previous one is shed, and map submits it
+        # again once a job of the batch has finished.
+        seeds = [0, 1, 2, 3, 4]
+        config = ServiceConfig(workers=2, max_queue_depth=1)
+        with Client.local(service_config=config) as client:
+            batch = client.map(tiny_jobs(seeds))
+        assert all(job.ok for job in batch.jobs)
+        assert [j.positions_hash for j in batch.jobs] == [
+            f.positions_hash() for f in serial_flows(seeds)
+        ]
+
+    def test_colliding_display_names_get_distinct_jobs(self):
+        with Client.local(service_config=ServiceConfig(workers=1)) as client:
+            batch = client.map(tiny_jobs([3, 3]))
+            ids = [r["job_id"] for r in client.report()["jobs"]]
+        assert [j.name for j in batch.jobs] == ["tiny-s3", "tiny-s3"]
+        assert len(set(ids)) == 2
+        assert batch.jobs[0].positions_hash == batch.jobs[1].positions_hash
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +636,7 @@ class TestBatchCLI:
         out = tmp_path / "sweep.json"
         code = main([
             "sweep", "--circuit", "tiny", "--K", "0.2,1.0", "--seeds", "0",
-            "--workers", "0", "--max-iterations", "6", "--out", str(out),
+            "--workers", "1", "--max-iterations", "6", "--out", str(out),
         ])
         assert code == 0
         summary = json.loads(out.read_text())
@@ -552,3 +648,34 @@ class TestBatchCLI:
 
         with pytest.raises(SystemExit):
             main(["batch", "--jobs", "2"])
+
+    def test_no_in_process_mode(self, capsys):
+        from repro.cli import main
+
+        assert main(["batch", "--circuit", "tiny", "--jobs", "1",
+                     "--workers", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_and_sweep_match_place(self, tmp_path, workers):
+        """Per-job answers of both CLIs equal place() of the same spec."""
+        from repro.cli import main
+
+        out = tmp_path / "batch.json"
+        assert main(["batch", "--circuit", "tiny", "--seeds", "1,2",
+                     "--workers", workers, "--max-iterations", "6",
+                     "--out", str(out)]) == 0
+        for job in json.loads(out.read_text())["jobs"]:
+            flow = place("tiny", seed=job["seed"], legalize=False,
+                         max_iterations=6)
+            assert job["final_hpwl_m"] == flow.final_hpwl_m
+            assert job["positions_hash"] == flow.positions_hash()
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--circuit", "tiny", "--K", "1.0",
+                     "--seeds", "3", "--workers", workers,
+                     "--max-iterations", "6", "--out", str(out)]) == 0
+        [job] = json.loads(out.read_text())["jobs"]
+        flow = place("tiny", seed=3, config=PlacerConfig(K=1.0),
+                     legalize=False, max_iterations=6)
+        assert job["final_hpwl_m"] == flow.final_hpwl_m
+        assert job["positions_hash"] == flow.positions_hash()

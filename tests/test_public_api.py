@@ -8,7 +8,7 @@ import pytest
 PACKAGES = [
     "repro",
     "repro.api",
-    "repro.parallel",
+    "repro.service",
     "repro.core",
     "repro.netlist",
     "repro.geometry",
@@ -107,7 +107,7 @@ class TestFacadeStability:
 
         assert repro.place is importlib.import_module("repro.api").place
         for name in ("place", "place_many", "FlowResult", "PlacementJob",
-                     "run_batch", "BatchResult"):
+                     "JobResult", "BatchResult"):
             assert name in repro.__all__
 
     def test_place_circuit_shim_removed(self):
@@ -120,6 +120,28 @@ class TestFacadeStability:
         assert not hasattr(repro.core, "place_circuit")
         assert "place_circuit" not in repro.__all__
         assert "place_circuit" not in repro.core.__all__
+
+    def test_batch_engine_removed(self):
+        """The ``ProcessPoolExecutor`` batch engine is gone as of 1.4.0:
+        batches run on the placement service.  The migrations are
+        ``run_batch(jobs, workers=N)`` -> ``place_many(jobs, workers=N)``
+        or ``Client.map(jobs)``, and ``place_service(...)`` ->
+        ``serve_jobs(jobs)`` (see docs/API.md)."""
+        import repro
+        import repro.api
+
+        for name in ("run_batch", "place_service"):
+            assert not hasattr(repro, name)
+            assert name not in repro.__all__
+        assert not hasattr(repro.api, "place_service")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.parallel")
+        # The job value objects kept their top-level names.
+        from repro.service import jobs
+
+        assert repro.PlacementJob is jobs.PlacementJob
+        assert repro.JobResult is jobs.JobResult
+        assert repro.BatchResult is jobs.BatchResult
 
     def test_client_submit_signature(self):
         """`Client.submit` is the one enqueue point for both transports —

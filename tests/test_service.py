@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro import PlacementJob, place, place_service
+from repro import PlacementJob, PlacerConfig, place, place_many
 from repro.observability.events import EventLog, latency_summary, percentile
 from repro.service import (
     AdmissionController,
@@ -399,6 +399,41 @@ class TestServiceChaos:
 # ----------------------------------------------------------------------
 # Admission control and load shedding
 # ----------------------------------------------------------------------
+class TestCheckpointDirReuse:
+    """A restarted service that reuses ``checkpoint_dir`` hands job
+    ``j00001`` the snapshot an earlier run of ``j00001`` left behind.
+    Every attempt resumes from a snapshot only when it is valid for the
+    job, so the answer is place()'s either way."""
+
+    def run_once(self, tmp_path, job):
+        config = service_config(checkpoint_dir=tmp_path / "ckpt",
+                                checkpoint_every=2)
+        with PlacementService(config) as svc:
+            svc.submit(job)
+            record = svc.wait("j00001", timeout=120)
+        assert record.state == JobState.DONE
+        return record
+
+    def test_stale_snapshot_of_another_config_is_ignored(self, tmp_path):
+        self.run_once(tmp_path, tiny_job(
+            1, config=PlacerConfig(K=0.2).to_dict()))
+        record = self.run_once(tmp_path, tiny_job(
+            7, config=PlacerConfig(K=1.0).to_dict()))
+        assert record.attempts[0].resumed_iteration is None
+        assert record.result.final_hpwl_m == place(
+            "tiny", seed=7, config=PlacerConfig(K=1.0), legalize=False,
+            max_iterations=8,
+        ).final_hpwl_m
+
+    def test_valid_snapshot_is_resumed_on_the_first_attempt(self, tmp_path):
+        first = self.run_once(tmp_path, tiny_job(3))
+        again = self.run_once(tmp_path, tiny_job(3))
+        assert again.attempts[0].resumed_iteration == first.result.iterations
+        assert again.result.iterations == first.result.iterations
+        assert again.result.positions_hash == first.result.positions_hash
+        assert again.result.final_hpwl_m == serial_hpwl(3)
+
+
 class TestServiceAdmission:
     def test_queue_full_sheds_with_reason(self):
         # Submit before start so the queue cannot drain in between.
@@ -522,11 +557,14 @@ class TestFacades:
         assert report["n_done"] == 2
         assert {j["job_id"] for j in report["jobs"]} == {"j00001", "spec-job"}
 
-    def test_place_service_matches_place_many_semantics(self):
+    def test_serve_jobs_matches_place_many(self):
+        """The two one-shot entry points share one substrate: the same
+        jobs give the same per-job answers, both equal to place()."""
         expected = [serial_hpwl(s) for s in (0, 1)]
-        report = place_service(
-            "tiny", seeds=[0, 1], legalize=False, max_iterations=8,
-            service_config=service_config(),
+        report = serve_jobs(
+            [tiny_job(0), tiny_job(1)], config=service_config(),
         )
-        got = [j["final_hpwl_m"] for j in report["jobs"]]
-        assert got == expected
+        assert [j["final_hpwl_m"] for j in report["jobs"]] == expected
+        batch = place_many("tiny", seeds=[0, 1], workers=1, legalize=False,
+                           max_iterations=8)
+        assert list(batch.hpwls) == expected

@@ -16,7 +16,7 @@ import pytest
 
 from repro import PlacementJob, place
 from repro.api import FLOW_SCHEMA, FlowResult, resolve_source
-from repro.parallel.jobs import JobResult, RESULT_SCHEMA
+from repro.service.jobs import JobResult, RESULT_SCHEMA
 from repro.service import (
     JOB_SCHEMA,
     JobRecord,

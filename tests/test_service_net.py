@@ -274,39 +274,61 @@ class TestStreaming:
             assert handle.result(timeout=120.0).state.value == "done"
 
 
+class TestSocketMap:
+    def test_map_runs_every_job_on_the_server(self):
+        """Over a socket, ``map`` submits each job to the server (not to
+        the client's own process) and answers with place()'s results."""
+        jobs = [PlacementJob(source="tiny", seed=s, legalize=False,
+                             max_iterations=6) for s in (11, 12, 13)]
+        with PlacementServer(service_config=service_config()) as srv:
+            with Client.connect(*srv.address, token="mapper") as client:
+                batch = client.map(jobs)
+                report = client.report()
+        assert report["n_submitted"] == len(jobs)
+        assert [r["tenant"] for r in report["jobs"]] == ["mapper"] * 3
+        assert batch.workers == 1 and batch.mp_context == report["mp_context"]
+        for job, result in zip(jobs, batch.jobs):
+            flow = place("tiny", seed=job.seed, legalize=False,
+                         max_iterations=6)
+            assert result.ok and result.name == f"tiny-s{job.seed}"
+            assert result.final_hpwl_m == flow.final_hpwl_m
+            assert result.positions_hash == flow.positions_hash()
+
+
 class TestProgressGating:
     """The observer chain defaults to off at every layer."""
 
     def test_payload_defaults_stream_progress_off(self):
-        from repro.parallel.engine import _job_payload
+        from repro.service.supervisor import _job_payload
 
         payload = _job_payload(
-            PlacementJob(source="tiny", seed=0, max_iterations=2),
-            0, None, False, False,
+            PlacementJob(source="tiny", seed=0, max_iterations=2), 0, None,
         )
         assert payload["stream_progress"] is False
 
     def test_execute_ignores_progress_when_gated_off(self):
-        from repro.parallel.engine import _execute_job, _job_payload
+        from repro.service.pool import _execute_job
+        from repro.service.supervisor import _job_payload
 
         calls = []
         payload = _job_payload(
             PlacementJob(source="tiny", seed=0, legalize=False,
                          max_iterations=2),
-            0, None, False, False,
+            0, None,
         )
         result = _execute_job(payload, progress=calls.append)
         assert result.ok
         assert calls == []  # gate off → the hook never fires
 
     def test_execute_streams_when_gated_on(self):
-        from repro.parallel.engine import _execute_job, _job_payload
+        from repro.service.pool import _execute_job
+        from repro.service.supervisor import _job_payload
 
         calls = []
         payload = _job_payload(
             PlacementJob(source="tiny", seed=0, legalize=False,
                          max_iterations=3),
-            0, None, False, False,
+            0, None,
         )
         payload["stream_progress"] = True
         result = _execute_job(payload, progress=calls.append)
