@@ -1173,10 +1173,11 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="max_attempts", metavar="N",
                          help="attempts per job incl. the first (default 3)")
     p_serve.add_argument("--retry-on",
-                         default="worker_death,timeout,numerical",
+                         default="worker_death,timeout",
                          dest="retry_on",
                          help="comma-separated retryable failure classes "
-                              "(default worker_death,timeout,numerical)")
+                              "(default worker_death,timeout; add "
+                              "numerical to retry a diverged job)")
     p_serve.add_argument("--backoff-base", type=float, default=0.05,
                          dest="backoff_base", metavar="SECONDS")
     p_serve.add_argument("--backoff-cap", type=float, default=2.0,

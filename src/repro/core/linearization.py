@@ -36,10 +36,9 @@ def linearization_factors(
     if arrays.pin_cell.size == 0:
         n = placement.netlist.num_nets
         return np.ones(n), np.ones(n)
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
-    span_x = np.maximum.reduceat(px, seg) - np.minimum.reduceat(px, seg)
-    span_y = np.maximum.reduceat(py, seg) - np.minimum.reduceat(py, seg)
+    xlo, xhi, ylo, yhi = arrays.extents(placement)
+    span_x = xhi - xlo
+    span_y = yhi - ylo
     fx = 1.0 / np.maximum(span_x, gamma)
     fy = 1.0 / np.maximum(span_y, gamma)
     fx /= fx.mean()

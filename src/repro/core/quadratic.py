@@ -95,12 +95,8 @@ class QuadraticSystem:
         self._var_of_cell[netlist.movable_indices] = np.arange(self.n_movable)
 
         self._star_nets: List[int] = []
-        # Assembly scratch, reused across transformations: unit runtime
-        # weights and the scatter-value buffer of _assemble_axis.  Both are
-        # value-for-value what the per-call allocations held, so reuse is
-        # bit-identical.
+        # Unit runtime weights, reused across transformations.
         self._unit_weights: Optional[np.ndarray] = None
-        self._vals_buf: Optional[np.ndarray] = None
         self._build_edges()
 
     # ------------------------------------------------------------------
@@ -133,10 +129,13 @@ class QuadraticSystem:
         self._star_nets = [int(j) for j in star_nets]
         self.n_stars = int(star_nets.size)
         self.n_vars = self.n_movable + self.n_stars
-        self._star_pin_cells = [
-            [int(c) for c in pin_cell[net_start[j]:net_start[j + 1]]]
-            for j in star_nets
-        ]
+        # Star pins grouped by net degree: (star indices, pin-cell matrix)
+        # per degree, so one row-wise mean places every star of a degree.
+        self._star_groups = []
+        for d in np.unique(degree[star_nets]):
+            stars = np.flatnonzero(degree[star_nets] == d)
+            pins = net_start[star_nets[stars]][:, None] + np.arange(d)
+            self._star_groups.append((stars, pin_cell[pins]))
 
         # --- clique nets: per-degree-bucket pair expansion -------------
         clique_nets = np.flatnonzero(
@@ -248,16 +247,17 @@ class QuadraticSystem:
         self.mf_qx = mf_qx.astype(np.float64, copy=False)
         self.mf_qy = mf_qy.astype(np.float64, copy=False)
         self._build_pattern()
+        self._build_rhs()
 
     def _build_pattern(self) -> None:
-        """Precompute the CSR sparsity pattern shared by every assembly.
+        """Precompute the CSR pattern and the slot matrix of every assembly.
 
         The edge structure is placement-independent, so the matrix pattern
         — including an explicitly stored diagonal for the anchor and for
-        diagonal-shift reuse — never changes between transformations.  We
-        sort the COO entry list once and keep the scatter map from entry
-        to unique CSR slot; :meth:`_assemble_axis` then reduces fresh values
-        into the fixed pattern with a single ``bincount``.
+        diagonal-shift reuse — never changes between transformations.  The
+        matrix entries, in the block order (u,u), (v,v), (u,v), (v,u),
+        (mf_u,mf_u), then the full diagonal, sort once into their CSR
+        slots.
 
         Entries sort on the combined key ``row * n_vars + col`` (no
         overflow: both are ``< n_vars`` and ``n_vars**2`` fits int64 for
@@ -267,6 +267,15 @@ class QuadraticSystem:
         over two, and the row/col concatenations never materialize.  At
         1M cells this halves placer-construction time (the dominant cost
         of a cold V-cycle level setup).
+
+        Every entry's value is a static coefficient (``±mm_w`` or
+        ``mf_w``) times its net's runtime factor, or the anchor weight on
+        the diagonal.  So the CSR data of an assembly is one product of
+        the *slot matrix* — a row per CSR slot, a column per net plus one
+        for the anchor, its entries in the stable slot order — with the
+        per-net factor vector (anchor weight appended).  A CSR matvec
+        sums each row in entry order from 0.0, as ``np.bincount`` summed
+        each slot, so the data is the one the historical scatter gave.
         """
         n = self.n_vars
         base = np.int64(n)
@@ -274,8 +283,6 @@ class QuadraticSystem:
         k = self.mf_u.size
         total = 4 * m + k + n
         key = np.empty(total, dtype=np.int64)
-        # Block layout mirrors _assemble_axis's value buffer:
-        # (u,u), (v,v), (u,v), (v,u), (mf_u,mf_u), then the full diagonal.
         np.multiply(self.mm_u, base, out=key[:m])
         key[:m] += self.mm_u
         np.multiply(self.mm_v, base, out=key[m:2 * m])
@@ -288,18 +295,14 @@ class QuadraticSystem:
         key[4 * m:4 * m + k] += self.mf_u
         key[4 * m + k:] = np.arange(n, dtype=np.int64) * (base + 1)
         order = np.argsort(key, kind="stable")
-        k_sorted = key[order]
-        first = np.ones(k_sorted.size, dtype=bool)
-        first[1:] = k_sorted[1:] != k_sorted[:-1]
-        slot_of_sorted = np.cumsum(first) - 1
-        inv = np.empty(total, dtype=np.int64)
-        inv[order] = slot_of_sorted
-        nnz = int(slot_of_sorted[-1]) + 1 if total else 0
+        key = key[order]
+        first = np.ones(total, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        uniq = key[first]
+        del key
+        nnz = uniq.size
         idx_dtype = np.int32 if max(nnz, n) < np.iinfo(np.int32).max else np.int64
-        uniq = k_sorted[first]
         unique_rows = uniq // base if n else uniq
-        self._pat_inv = inv
-        self._pat_nnz = nnz
         self._pat_indices = (uniq - unique_rows * base).astype(idx_dtype)
         counts = np.bincount(unique_rows, minlength=n)
         self._pat_indptr = np.concatenate(
@@ -307,36 +310,67 @@ class QuadraticSystem:
         ).astype(idx_dtype)
         self._pat_diag = np.flatnonzero(self._pat_indices == unique_rows)
 
-    def _add_edge(
-        self, pin_a, pin_b, net_index, base_w,
-        mm_u, mm_v, mm_net, mm_w, mm_offx, mm_offy,
-        mf_u, mf_net, mf_w, mf_qx, mf_qy,
-    ) -> None:
-        nl = self.netlist
-        ua = self._var_of_cell[pin_a.cell]
-        ub = self._var_of_cell[pin_b.cell]
-        if ua >= 0 and ub >= 0:
-            mm_u.append(int(ua))
-            mm_v.append(int(ub))
-            mm_net.append(net_index)
-            mm_w.append(base_w)
-            mm_offx.append(pin_a.dx - pin_b.dx)
-            mm_offy.append(pin_a.dy - pin_b.dy)
-        elif ua >= 0:
-            cell_b = nl.cells[pin_b.cell]
-            mf_u.append(int(ua))
-            mf_net.append(net_index)
-            mf_w.append(base_w)
-            mf_qx.append(cell_b.x + pin_b.dx - pin_a.dx)
-            mf_qy.append(cell_b.y + pin_b.dy - pin_a.dy)
-        elif ub >= 0:
-            cell_a = nl.cells[pin_a.cell]
-            mf_u.append(int(ub))
-            mf_net.append(net_index)
-            mf_w.append(base_w)
-            mf_qx.append(cell_a.x + pin_a.dx - pin_b.dx)
-            mf_qy.append(cell_a.y + pin_a.dy - pin_b.dy)
-        # fixed-fixed edges are constants and vanish from the gradient
+        num_nets = self.netlist.num_nets
+        net = np.empty(total, dtype=np.int64)
+        coeff = np.empty(total)
+        net[:4 * m].reshape(4, m)[:] = self.mm_net
+        coeff[:2 * m].reshape(2, m)[:] = self.mm_w
+        coeff[2 * m:4 * m].reshape(2, m)[:] = -self.mm_w
+        net[4 * m:4 * m + k] = self.mf_net
+        coeff[4 * m:4 * m + k] = self.mf_w
+        net[4 * m + k:] = num_nets  # the anchor column
+        coeff[4 * m + k:] = 1.0
+        slot_dtype = (
+            np.int32 if max(total, num_nets + 1) < np.iinfo(np.int32).max
+            else np.int64
+        )
+        self._slots = sp.csr_matrix(
+            (
+                coeff[order],
+                net[order].astype(slot_dtype),
+                np.append(np.flatnonzero(first), total).astype(slot_dtype),
+            ),
+            shape=(nnz, num_nets + 1),
+            copy=False,
+        )
+
+    def _build_rhs(self) -> None:
+        """Precompute the right-hand-side matrices, one per axis.
+
+        ``b`` sums three scatters of edge terms, each in edge order: ``-w
+        * off`` into row ``u`` and ``+w * off`` into row ``v`` of every
+        movable pair, ``w * q`` into row ``u`` of every movable-fixed
+        pair.  Row ``r`` of block ``i`` of the ``(3 n_vars, m + k)``
+        matrix holds scatter ``i``'s static factors (``-off``, ``off`` or
+        ``q``) at the columns of its edges in edge order, so its product
+        with the edge weights is the three scatters, each summed as
+        ``np.bincount`` summed it.
+        """
+        n = self.n_vars
+        m = self.mm_u.size
+        k = self.mf_u.size
+        rows = np.concatenate((self.mm_u, self.mm_v + n, self.mf_u + 2 * n))
+        cols = np.concatenate(
+            (np.arange(m), np.arange(m), np.arange(m, m + k))
+        )
+        order = np.argsort(rows, kind="stable")
+        idx_dtype = (
+            np.int32 if max(rows.size, m + k) < np.iinfo(np.int32).max
+            else np.int64
+        )
+        indices = cols[order].astype(idx_dtype)
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=3 * n)))
+        ).astype(idx_dtype)
+        self._rhs_x, self._rhs_y = (
+            sp.csr_matrix(
+                (np.concatenate((-off, off, q))[order], indices, indptr),
+                shape=(3 * n, m + k), copy=False,
+            )
+            for off, q in (
+                (self.mm_offx, self.mf_qx), (self.mm_offy, self.mf_qy)
+            )
+        )
 
     # ------------------------------------------------------------------
     # Assembly
@@ -367,22 +401,11 @@ class QuadraticSystem:
             raise ValueError("net_weights has wrong length")
         fx = runtime if lin_x is None else runtime * np.asarray(lin_x)
         fy = runtime if lin_y is None else runtime * np.asarray(lin_y)
-
         Ax, bx = self._assemble_axis(
-            self.mm_w * fx[self.mm_net] if self.mm_w.size else self.mm_w,
-            self.mf_w * fx[self.mf_net] if self.mf_w.size else self.mf_w,
-            self.mm_offx,
-            self.mf_qx,
-            anchor_weight,
-            anchor_xy[0],
+            fx, self._rhs_x, anchor_weight, anchor_xy[0]
         )
         Ay, by = self._assemble_axis(
-            self.mm_w * fy[self.mm_net] if self.mm_w.size else self.mm_w,
-            self.mf_w * fy[self.mf_net] if self.mf_w.size else self.mf_w,
-            self.mm_offy,
-            self.mf_qy,
-            anchor_weight,
-            anchor_xy[1],
+            fy, self._rhs_y, anchor_weight, anchor_xy[1]
         )
         return AssembledSystem(
             Ax=Ax, bx=bx, Ay=Ay, by=by, diag_positions=self._pat_diag
@@ -390,44 +413,31 @@ class QuadraticSystem:
 
     def _assemble_axis(
         self,
-        w_mm: np.ndarray,
-        w_mf: np.ndarray,
-        off_mm: np.ndarray,
-        q_mf: np.ndarray,
+        factor: np.ndarray,
+        rhs: sp.csr_matrix,
         anchor_weight: float,
         anchor: float,
     ) -> Tuple[sp.csr_matrix, np.ndarray]:
         n = self.n_vars
-        # Entry order must mirror _build_pattern's concatenation; bincount
-        # reduces the duplicate entries into their precomputed CSR slots.
-        # The value buffer is reused across calls (two axes x many
-        # transformations) instead of concatenating fresh arrays each time.
-        m = w_mm.size
-        k = w_mf.size
-        total = 4 * m + k + n
-        vals = self._vals_buf
-        if vals is None or vals.size != total:
-            vals = self._vals_buf = np.empty(total)
-        vals[:m] = w_mm
-        vals[m:2 * m] = w_mm
-        np.negative(w_mm, out=vals[2 * m:3 * m])
-        vals[3 * m:4 * m] = vals[2 * m:3 * m]
-        vals[4 * m:4 * m + k] = w_mf
-        vals[4 * m + k:] = anchor_weight
-        data = np.bincount(self._pat_inv, weights=vals, minlength=self._pat_nnz)
+        # The slot matrix times the per-net factors (anchor appended).
+        f = np.empty(factor.size + 1)
+        f[:-1] = factor
+        f[-1] = anchor_weight
         A = sp.csr_matrix(
-            (data, self._pat_indices, self._pat_indptr), shape=(n, n), copy=False
+            (self._slots @ f, self._pat_indices, self._pat_indptr),
+            shape=(n, n), copy=False,
         )
 
         # edge cost w (x_u + a_u - x_v - a_v)^2 with off = a_u - a_v:
         #   d/dx_u = 0  =>  row u gains -w*off on the rhs, row v gains +w*off
-        b = np.zeros(n)
-        if self.mm_u.size:
-            b += np.bincount(self.mm_u, weights=-w_mm * off_mm, minlength=n)
-            b += np.bincount(self.mm_v, weights=w_mm * off_mm, minlength=n)
         # fixed edge cost w (x_u - q)^2  =>  row u gains +w*q
-        if self.mf_u.size:
-            b += np.bincount(self.mf_u, weights=w_mf * q_mf, minlength=n)
+        m = self.mm_w.size
+        w = np.empty(m + self.mf_w.size)
+        np.multiply(self.mm_w, factor[self.mm_net], out=w[:m])
+        np.multiply(self.mf_w, factor[self.mf_net], out=w[m:])
+        terms = rhs @ w
+        b = terms[:n] + terms[n:2 * n]
+        b += terms[2 * n:]
         if anchor_weight > 0.0:
             b += anchor_weight * anchor
         return A, b
@@ -442,9 +452,11 @@ class QuadraticSystem:
         y = np.empty(self.n_vars)
         x[: self.n_movable] = placement.x[nl.movable_indices]
         y[: self.n_movable] = placement.y[nl.movable_indices]
-        for s, cells in enumerate(self._star_pin_cells):
-            x[self.n_movable + s] = float(np.mean(placement.x[cells]))
-            y[self.n_movable + s] = float(np.mean(placement.y[cells]))
+        # A row-wise mean sums each contiguous row pairwise, as np.mean
+        # sums one net's gathered pins.
+        for stars, cells in self._star_groups:
+            x[self.n_movable + stars] = placement.x[cells].mean(axis=1)
+            y[self.n_movable + stars] = placement.y[cells].mean(axis=1)
         return x, y
 
     def placement_from_vars(

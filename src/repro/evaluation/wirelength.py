@@ -9,7 +9,8 @@ provided here, vectorized over the whole netlist.
 from __future__ import annotations
 
 import weakref
-from typing import Optional
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +49,215 @@ class NetPinArrays:
         py = placement.y[self.pin_cell] + self.pin_dy
         return px, py
 
+    @cached_property
+    def classes(self) -> "DegreeClasses":
+        """The padded degree-class layout, built on first use."""
+        return DegreeClasses(self)
+
+    def extents(self, placement: Placement) -> Tuple[np.ndarray, ...]:
+        """Per-net ``(xlo, xhi, ylo, yhi)`` pin extents."""
+        classes = self.classes
+        return (
+            *classes.extremes(placement.x, 0).bounds(),
+            *classes.extremes(placement.y, 1).bounds(),
+        )
+
+
+def _class_width(degree: int) -> int:
+    """Padded width of a net of *degree* pins.
+
+    Degrees up to 4 are their own class; above that the widths run
+    6, 8, 12, 16, 24, 32, ..., so padding adds at most half a net."""
+    if degree <= 4:
+        return max(int(degree), 1)
+    width = 4
+    while width < degree:
+        width = width * 3 // 2 if width & (width - 1) == 0 else width * 4 // 3
+    return width
+
+
+#: Padding, in pin entries, below which a degree class is folded into the
+#: next wider one.
+FOLD_ENTRIES = 8192
+
+
+class NetExtremes(NamedTuple):
+    """Top-k distinct-cell extremes of each net's pins along one axis.
+
+    ``lo[i]`` is the smallest pin coordinate over pins whose cell is none
+    of ``lo_cell[:i]``, and ``lo_cell[i]`` a cell holding that pin (+inf,
+    and an arbitrary cell of the net, where no such pin exists); ``hi``
+    and ``hi_cell`` are the same for the largest.  Row 0 is the net's
+    plain extent.  The minimum over the pins of the cells outside any set
+    ``S`` of fewer than ``k`` cells is ``lo[r]`` for the first ``r`` with
+    ``lo_cell[r]`` outside ``S``: the rows before it only removed cells of
+    ``S``.  ``r < k`` always, so the cell rows stop at ``k - 1`` (they are
+    ``None`` for ``k == 1``).
+    """
+
+    lo: np.ndarray
+    lo_cell: Optional[np.ndarray]
+    hi: np.ndarray
+    hi_cell: Optional[np.ndarray]
+
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each net's ``(min, max)`` pin coordinate."""
+        return self.lo[0], self.hi[0]
+
+
+class DegreeClasses:
+    """Nets grouped into width classes, each net padded to its class width.
+
+    Class ``c`` holds ``nets[c]`` (net indices, ascending) and the
+    ``(width, len(nets[c]))`` matrices ``cell[c]``, ``dx[c]`` and
+    ``dy[c]``: column ``j`` lists the pins of net ``nets[c][j]`` in pin
+    order, padded by repeating the net's last pin.  Repeating a pin
+    changes no minimum or maximum, and a per-net reduction becomes
+    ``width - 1`` vector operations over a class instead of one
+    ``reduceat`` segment per net, whose per-segment overhead dominated
+    on small nets.  ``net_class`` and ``net_col`` locate every net.
+    """
+
+    def __init__(self, arrays: NetPinArrays):
+        degree = arrays.degree
+        num_nets = degree.size
+        # One width per distinct degree: a bookshelf clock net may have
+        # 10^5 pins, so a table over every degree up to the largest is not
+        # free.
+        uniq, of_net = np.unique(degree, return_inverse=True)
+        net_width = np.array(
+            [_class_width(d) for d in uniq], dtype=np.int64
+        )[of_net]
+        # Fold classes into the next wider one while the nets carried up
+        # gain fewer than FOLD_ENTRIES padding entries in all: each class
+        # costs a few dozen numpy calls per reduction, which a small
+        # class does not repay.
+        widths, counts = np.unique(net_width, return_counts=True)
+        self.widths: List[int] = []
+        carried = carried_width = 0
+        for i, width in enumerate(widths):
+            carried += int(counts[i])
+            carried_width += int(counts[i]) * int(width)
+            if i + 1 < len(widths) and (
+                carried * int(widths[i + 1]) - carried_width < FOLD_ENTRIES
+            ):
+                continue
+            self.widths.append(int(width))
+            carried = carried_width = 0
+        self.net_class = np.searchsorted(self.widths, net_width).astype(np.int16)
+        self.net_col = np.empty(num_nets, dtype=np.int64)
+        self.nets: List[np.ndarray] = []
+        self.cell: List[np.ndarray] = []
+        self.dx: List[np.ndarray] = []
+        self.dy: List[np.ndarray] = []
+        start = arrays.net_start
+        for c, width in enumerate(self.widths):
+            nets = np.flatnonzero(self.net_class == c)
+            self.net_col[nets] = np.arange(nets.size)
+            # Pin j of each net, clamped to its last pin.
+            last = start[nets + 1] - 1
+            pins = np.minimum(
+                start[nets][None, :] + np.arange(width)[:, None], last
+            )
+            self.nets.append(nets)
+            self.cell.append(arrays.pin_cell[pins])
+            self.dx.append(arrays.pin_dx[pins])
+            self.dy.append(arrays.pin_dy[pins])
+
+    def extremes(
+        self,
+        coord: np.ndarray,
+        axis: int,
+        k: int = 1,
+        nets: Optional[np.ndarray] = None,
+    ) -> NetExtremes:
+        """Top-*k* distinct-cell pin extremes along one axis.
+
+        ``coord`` holds every cell's center coordinate and ``axis``
+        selects the pin offsets (0: x, 1: y).  Columns follow net order,
+        or the order of ``nets`` when given (only those nets are read).
+        Every value is one of the floats ``coord[cell] + offset`` a pin
+        gather computes, and min/max do not depend on evaluation order,
+        so the extents equal a segmented ``reduceat``'s bit for bit — up
+        to the sign of a zero where ``+0.0`` and ``-0.0`` pins tie, which
+        ``reduceat`` itself does not fix.
+        """
+        offsets = self.dx if axis == 0 else self.dy
+        n = self.net_col.size if nets is None else nets.size
+        if len(self.widths) == 1:
+            # One class (most small netlists): its columns are the nets.
+            groups = [(0, slice(None) if nets is None else nets, slice(None))]
+        elif nets is None:
+            groups = [
+                (c, slice(None), self.nets[c]) for c in range(len(self.widths))
+            ]
+        else:
+            cls = self.net_class[nets]
+            order = np.argsort(cls, kind="stable")
+            counts = np.bincount(cls, minlength=len(self.widths))
+            ends = np.cumsum(counts)
+            groups = []
+            for c in np.flatnonzero(counts):
+                dest = order[ends[c] - counts[c]:ends[c]]
+                groups.append((c, self.net_col[nets[dest]], dest))
+            if len(groups) == 1:
+                # One class: the stable order is the identity.
+                groups = [(groups[0][0], groups[0][1], slice(None))]
+        if k == 1:
+            lo = np.empty((1, n))
+            hi = np.empty((1, n))
+        else:
+            # Row 0 the minima, row 1 the negated maxima (see _top_k).
+            ext = np.empty((2, k, n))
+            held = np.empty((2, k - 1, n), dtype=np.int64)
+        for c, cols, dest in groups:
+            cell = self.cell[c][:, cols]
+            values = coord[cell]
+            values += offsets[c][:, cols]
+            if k == 1:
+                lo[0, dest] = values.min(axis=0)
+                hi[0, dest] = values.max(axis=0)
+            elif isinstance(dest, slice):
+                _top_k(values, cell, k, ext, held)
+            else:
+                ext[:, :, dest], held[:, :, dest] = _top_k(values, cell, k)
+        if k == 1:
+            return NetExtremes(lo, None, hi, None)
+        return NetExtremes(ext[0], held[0], np.negative(ext[1]), held[1])
+
+
+def _top_k(values, cell, k, ext=None, held=None):
+    """The top-*k* distinct-cell extremes of the padded ``values`` columns.
+
+    Fills ``ext`` (minima, negated maxima) and ``held`` (their cells),
+    allocated here when not given, and returns them.  Both sides run as
+    one: the maxima are the negated minima of the negated values, which
+    is exact (negation is); tied entries are equal values, so which one
+    a reduction keeps shows only in the sign of a tied zero.
+    """
+    n = values.shape[1]
+    if ext is None:
+        ext = np.empty((2, k, n))
+        held = np.empty((2, k - 1, n), dtype=np.int64)
+    both = np.empty((2,) + values.shape)
+    both[0] = values
+    np.negative(values, out=both[1])
+    hit = np.empty(both.shape, dtype=bool)
+    cells = np.empty(both.shape, dtype=cell.dtype)
+    for i in range(k):
+        best = both.min(axis=1)
+        ext[:, i] = best
+        if i + 1 == k:
+            return ext, held
+        # The largest cell index holding each extreme.  Cells are
+        # non-negative, so a product replaces a (branchy) select.
+        np.equal(both, best[:, None], out=hit)
+        np.multiply(cell, hit, out=cells)
+        holder = cells.max(axis=1)
+        held[:, i] = holder
+        np.equal(cell, holder[:, None], out=hit)
+        np.putmask(both, hit, np.inf)
+
 
 # Weak keys: entries die with their netlist.  An id(netlist)-keyed dict
 # would both leak every entry forever and — worse — serve stale arrays when
@@ -71,11 +281,8 @@ def net_hpwl(placement: Placement) -> np.ndarray:
     arrays = pin_arrays(placement.netlist)
     if arrays.pin_cell.size == 0:
         return np.zeros(placement.netlist.num_nets)
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
-    dx = np.maximum.reduceat(px, seg) - np.minimum.reduceat(px, seg)
-    dy = np.maximum.reduceat(py, seg) - np.minimum.reduceat(py, seg)
-    return dx + dy
+    xlo, xhi, ylo, yhi = arrays.extents(placement)
+    return (xhi - xlo) + (yhi - ylo)
 
 
 def hpwl(placement: Placement, weights: Optional[np.ndarray] = None) -> float:
@@ -162,12 +369,8 @@ def mst_wirelength(placement: Placement) -> float:
 
 def net_bounding_boxes(placement: Placement) -> np.ndarray:
     """Per-net (xlo, ylo, xhi, yhi); shape ``(num_nets, 4)``."""
-    arrays = pin_arrays(placement.netlist)
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
     out = np.empty((placement.netlist.num_nets, 4))
-    out[:, 0] = np.minimum.reduceat(px, seg)
-    out[:, 1] = np.minimum.reduceat(py, seg)
-    out[:, 2] = np.maximum.reduceat(px, seg)
-    out[:, 3] = np.maximum.reduceat(py, seg)
+    out[:, 0], out[:, 2], out[:, 1], out[:, 3] = pin_arrays(
+        placement.netlist
+    ).extents(placement)
     return out

@@ -8,17 +8,28 @@ improvement pass the dominant cost of the whole flow.  This module prices
 the deltas exact:
 
 - :class:`MoveEvaluator` holds CSR views of the netlist (net -> pins and
-  cell -> nets) plus the current per-net bounding boxes, and evaluates the
-  exact HPWL delta of a batch of one- or two-cell moves by gathering every
-  affected net's pins, overriding the moved cells' coordinates, and
-  reducing per (move, net) segment;
+  cell -> nets) and, per (cell, net) incidence, the smallest and largest
+  pin offset of that cell on that net;
 - the delta splits into (move, net) pairs (:meth:`MoveEvaluator.pairs`)
   priced independently (:meth:`MoveEvaluator.price_pairs`), so a caller
-  that keeps the pair deltas can re-price only the pairs whose net moved;
+  that keeps the pair deltas can re-price only the pairs whose net moved.
+  A call summarizes each touched net once — its top-k distinct-cell pin
+  extremes, k being one more than the cells a move relocates — and then
+  prices every pair in O(1): the net's extent without the moved cells is
+  the first summary entry held by another cell, and a moved cell's
+  extreme pin is its new center plus its extreme offset;
 - :meth:`MoveEvaluator.exclusive_x` returns, for every (cell, net)
   incidence, the net's x extent *excluding that cell's pins* — the
   ingredient for vectorized optimal-slide targets (the 1-D HPWL optimum is
   a median of these exclusive interval endpoints).
+
+Every delta is the float a gather of the net's moved pins computes: min
+and max do not depend on evaluation order, and ``fl(x + dx)`` is monotone
+in ``dx``, so a moved cell's extreme pin ``new_x + max_dx`` is the largest
+of its rounded pin coordinates.  (Where a ``+0.0`` and a ``-0.0`` pin tie
+for an extreme, either may be returned, as with numpy's own reductions.)
+:func:`repro.testing.reference_deltas` keeps the per-pin gather as the
+oracle.
 
 Deltas are exact as long as the moves actually applied together touch
 disjoint net sets; the improver guarantees that with a dirty-net filter.
@@ -26,7 +37,7 @@ disjoint net sets; the improver guarantees that with a dirty-net filter.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -61,13 +72,14 @@ def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
 class MoveEvaluator:
     """Exact, batched HPWL deltas over a fixed netlist.
 
-    Construction is O(pins log pins); every :meth:`deltas` call is a few
-    numpy passes over the pins of the affected nets only.
+    Construction is O(pins log pins); a pricing call is a few numpy
+    passes over the pins of the nets it touches plus O(1) per pair.
     """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         arrays = pin_arrays(netlist)
+        self.classes = arrays.classes
         self.net_start = arrays.net_start
         self.pin_cell = arrays.pin_cell
         self.pin_dx = arrays.pin_dx
@@ -77,7 +89,8 @@ class MoveEvaluator:
         net_of_pin = np.repeat(np.arange(num_nets, dtype=np.int64), self.degree)
 
         # Unique (cell, net) incidence pairs in (cell, net) order -> CSR
-        # over cells.  A cell with several pins on one net appears once.
+        # over cells.  A cell with several pins on one net appears once,
+        # with the extreme offsets of those pins.
         order = np.lexsort((net_of_pin, self.pin_cell))
         c_sorted = self.pin_cell[order]
         n_sorted = net_of_pin[order]
@@ -92,27 +105,43 @@ class MoveEvaluator:
         self.cell_ptr = np.searchsorted(
             self.inc_cell, np.arange(netlist.num_cells + 1)
         )
+        # Each incidence's smallest and largest pin offset per axis, with
+        # a trailing +inf / -inf that incidence index -1 reads.
+        seg = np.flatnonzero(first)
+
+        def offset_range(offsets):
+            sorted_offsets = offsets[order]
+            lo = np.minimum.reduceat(sorted_offsets, seg) if seg.size else []
+            hi = np.maximum.reduceat(sorted_offsets, seg) if seg.size else []
+            return np.append(lo, np.inf), np.append(hi, -np.inf)
+
+        self.inc_dx = offset_range(self.pin_dx)
+        self.inc_dy = offset_range(self.pin_dy)
 
     # ------------------------------------------------------------------
     def nets_of(self, cell: int) -> np.ndarray:
         """Net indices incident to *cell* (each once)."""
         return self.inc_net[self.cell_ptr[cell] : self.cell_ptr[cell + 1]]
 
-    # ------------------------------------------------------------------
-    def extents(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-net (min_x, max_x, min_y, max_y) at the given coordinates."""
-        px = x[self.pin_cell] + self.pin_dx
-        py = y[self.pin_cell] + self.pin_dy
-        seg = self.net_start[:-1]
-        return (
-            np.minimum.reduceat(px, seg),
-            np.maximum.reduceat(px, seg),
-            np.minimum.reduceat(py, seg),
-            np.maximum.reduceat(py, seg),
-        )
+    def _touched(
+        self, nets: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Which nets to summarize for entries on *nets*, and each entry's
+        column in the summary: the distinct nets (ascending), or ``None``
+        — every net, so the column is the net — once they are more than
+        half of them, where gathering the subset costs more than it
+        saves."""
+        num_nets = len(self.degree)
+        mark = np.zeros(num_nets, dtype=bool)
+        mark[nets] = True
+        distinct = np.flatnonzero(mark)
+        if 2 * distinct.size > num_nets:
+            return None, nets
+        slot = np.empty(num_nets, dtype=np.int64)
+        slot[distinct] = np.arange(distinct.size)
+        return distinct, slot[nets]
 
+    # ------------------------------------------------------------------
     def exclusive_x(
         self, x: np.ndarray, cells: np.ndarray = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,85 +157,69 @@ class MoveEvaluator:
         """
         if cells is None:
             inc_cell = self.inc_cell
-            inc_net = self.inc_net
-            nets = None
-            deg = self.degree
-            seg = self.net_start[:-1]
-            seg_end = self.net_start[1:] - 1
-            px = x[self.pin_cell] + self.pin_dx
-            cell_f = self.pin_cell
-            net_key = np.repeat(np.arange(len(deg), dtype=np.int64), deg)
+            nets, n = None, self.inc_net
         else:
             cnt = self.cell_ptr[cells + 1] - self.cell_ptr[cells]
             inc_idx = _segment_gather(self.cell_ptr[cells], cnt)
             inc_cell = self.inc_cell[inc_idx]
-            inc_net = self.inc_net[inc_idx]
-            nets = np.unique(inc_net)
-            deg = self.degree[nets]
-            flat = _segment_gather(self.net_start[nets], deg)
-            ends = np.cumsum(deg)
-            seg = ends - deg
-            seg_end = ends - 1
-            cell_f = self.pin_cell[flat]
-            px = x[cell_f] + self.pin_dx[flat]
-            net_key = np.repeat(np.arange(len(nets), dtype=np.int64), deg)
-
-        order = _sort_within(net_key, px)
-        px_s = px[order]
-        cell_s = cell_f[order]
-        # Smallest pin and the smallest pin of any *other* cell.
-        min1 = px_s[seg]
-        min1_cell = cell_s[seg]
-        other = cell_s != np.repeat(min1_cell, deg)
-        min2 = np.minimum.reduceat(np.where(other, px_s, np.inf), seg)
-        # Largest pin and the largest pin of any other cell.
-        max1 = px_s[seg_end]
-        max1_cell = cell_s[seg_end]
-        other_hi = cell_s != np.repeat(max1_cell, deg)
-        max2 = np.maximum.reduceat(np.where(other_hi, px_s, -np.inf), seg)
-
-        n = inc_net if nets is None else np.searchsorted(nets, inc_net)
-        excl_min = np.where(inc_cell != min1_cell[n], min1[n], min2[n])
-        excl_max = np.where(inc_cell != max1_cell[n], max1[n], max2[n])
+            nets, n = self._touched(self.inc_net[inc_idx])
+        ext = self.classes.extremes(x, 0, k=2, nets=nets)
+        # Excluding one cell: the first of the net's two distinct-cell
+        # extremes held by another cell.
+        excl_min = np.where(inc_cell != ext.lo_cell[0, n], ext.lo[0, n],
+                            ext.lo[1, n])
+        excl_max = np.where(inc_cell != ext.hi_cell[0, n], ext.hi[0, n],
+                            ext.hi[1, n])
         return excl_min, excl_max, inc_cell
 
     # ------------------------------------------------------------------
     def pairs(
         self, cell_a: np.ndarray, cell_b: np.ndarray = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (move, net) pairs a batch of moves affects.
 
-        Returns ``(pair_move, pair_net)``: the nets of ``cell_a[m]`` (plus
-        those of ``cell_b[m]``), each once per move, grouped by move in
-        ascending move order and ascending net order within a move.  That
-        order is the summation order of :meth:`deltas`, so summing any
-        subset of moves' pair deltas in this order reproduces their
-        :meth:`deltas` floats exactly.
+        Returns ``(pair_move, pair_net, pair_inc)``: the nets of
+        ``cell_a[m]`` (plus those of ``cell_b[m]``), each once per move,
+        grouped by move in ascending move order and ascending net order
+        within a move.  That order is the summation order of
+        :meth:`deltas`, so summing any subset of moves' pair deltas in
+        this order reproduces their :meth:`deltas` floats exactly.
+        ``pair_inc`` is ``(1, npairs)`` for one-cell moves and
+        ``(2, npairs)`` for two: row ``i`` holds the incidence index of
+        the move's ``i``-th cell on the pair's net, -1 where that cell is
+        not on it.
         """
         nmoves = len(cell_a)
         cnt_a = self.cell_ptr[cell_a + 1] - self.cell_ptr[cell_a]
         move_of = np.repeat(np.arange(nmoves, dtype=np.int64), cnt_a)
-        nets = self.inc_net[_segment_gather(self.cell_ptr[cell_a], cnt_a)]
+        inc_a = _segment_gather(self.cell_ptr[cell_a], cnt_a)
         if cell_b is None:
             # One cell per move: its incident nets are already unique.
-            return move_of, nets
+            return move_of, self.inc_net[inc_a], inc_a[None, :]
         cnt_b = self.cell_ptr[cell_b + 1] - self.cell_ptr[cell_b]
-        move_of = np.concatenate(
-            (move_of, np.repeat(np.arange(nmoves, dtype=np.int64), cnt_b))
-        )
-        nets = np.concatenate(
-            (nets, self.inc_net[_segment_gather(self.cell_ptr[cell_b], cnt_b)])
-        )
-        # Both cells may share a net; dedup the (move, net) pairs.
-        # Sort + diff beats hash-based np.unique at these sizes.
+        inc_b = _segment_gather(self.cell_ptr[cell_b], cnt_b)
+        # Both cells may share a net; dedup the (move, net) pairs.  The
+        # key's low bit says which cell an entry came from.  Each cell's
+        # keys ascend, so after the sort each cell's entries are in its
+        # own order and its incidences drop into place without an
+        # argsort.
         num_nets = len(self.degree)
-        pair_key = np.sort(move_of * num_nets + nets)
-        if pair_key.size:
-            first = np.empty(len(pair_key), dtype=bool)
-            first[0] = True
-            np.not_equal(pair_key[1:], pair_key[:-1], out=first[1:])
-            pair_key = pair_key[first]
-        return pair_key // num_nets, pair_key % num_nets
+        move_b = np.repeat(np.arange(nmoves, dtype=np.int64), cnt_b)
+        key = np.concatenate((
+            (move_of * num_nets + self.inc_net[inc_a]) * 2,
+            (move_b * num_nets + self.inc_net[inc_b]) * 2 + 1,
+        ))
+        key.sort()
+        from_b = (key & 1).astype(bool)
+        key >>= 1
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        pair = np.cumsum(first) - 1
+        pair_key = key[first]
+        pair_inc = np.full((2, len(pair_key)), -1, dtype=np.int64)
+        pair_inc[0, pair[~from_b]] = inc_a
+        pair_inc[1, pair[from_b]] = inc_b
+        return pair_key // num_nets, pair_key % num_nets, pair_inc
 
     def price_pairs(
         self,
@@ -214,6 +227,7 @@ class MoveEvaluator:
         y: np.ndarray,
         pair_move: np.ndarray,
         pair_net: np.ndarray,
+        pair_inc: np.ndarray,
         cell_a: np.ndarray,
         new_ax: np.ndarray,
         new_ay: np.ndarray,
@@ -224,48 +238,55 @@ class MoveEvaluator:
     ) -> np.ndarray:
         """Exact HPWL delta (um) of each (move, net) pair.
 
-        ``pair_move`` indexes the move arrays (see :meth:`deltas`).  Each
-        pair's value depends only on that move and the net's pins, never on
-        which other pairs share the batch, so any subset can be re-priced.
+        ``pair_move`` indexes the move arrays (see :meth:`deltas`) and
+        ``pair_inc`` is :meth:`pairs`' incidence rows for the same pairs.
+        Each pair's value depends only on that move and the net's pins,
+        never on which other pairs share the batch, so any subset can be
+        re-priced.  Where ``cell_b[m] == cell_a[m]``, the cell goes to
+        ``cell_b``'s target.
         """
         if not pair_net.size:
             return np.zeros(0)
-        # Gather every affected net's pins, one flat segment per pair.
-        # Everything from here on is O(affected pins), never O(all pins).
-        cnt = self.degree[pair_net]
-        flat = _segment_gather(self.net_start[pair_net], cnt)
-        seg = cnt.cumsum() - cnt
-        fcell = self.pin_cell[flat]
-        fdx = self.pin_dx[flat]
-        px_old = x[fcell] + fdx
-        is_a = fcell == cell_a[pair_move].repeat(cnt)
-        px = np.where(is_a, new_ax[pair_move].repeat(cnt) + fdx, px_old)
+        nets, col = self._touched(pair_net)
+        moved = [cell_a[pair_move]]
+        inc = [pair_inc[0]]
+        targets = [(new_ax, new_ay)]
         if cell_b is not None:
-            is_b = fcell == cell_b[pair_move].repeat(cnt)
-            px = np.where(is_b, new_bx[pair_move].repeat(cnt) + fdx, px)
-        # Fuse every extent reduction into ONE min + ONE max reduceat over
-        # stacked (old-x, new-x[, old-y, new-y]) blocks — reduceat's
-        # per-call overhead dominates at typical batch sizes.
-        blocks = [px_old, px]
+            moved.append(cell_b[pair_move])
+            inc = [np.where(moved[0] != moved[1], pair_inc[0], -1),
+                   pair_inc[1]]
+            targets.append((new_bx, new_by))
+        k = len(moved) + 1
+
+        def rest(values, cells):
+            # The extreme over the pins of unmoved cells: summary row r,
+            # r being the number of leading rows held by moved cells.
+            r = np.zeros(len(col), dtype=np.int64)
+            run = np.ones(len(col), dtype=bool)
+            for row in cells:
+                holder = row[col]
+                hit = holder == moved[0]
+                for other in moved[1:]:
+                    hit |= holder == other
+                run &= hit
+                r += run
+            return values.ravel()[r * values.shape[1] + col]
+
+        def extent_delta(coord, axis, offsets):
+            ext = self.classes.extremes(coord, axis, k=k, nets=nets)
+            lo = rest(ext.lo, ext.lo_cell)
+            hi = rest(ext.hi, ext.hi_cell)
+            # A moved cell's extreme pin is its target plus its extreme
+            # offset on the net; -1 incidences read the +-inf sentinels.
+            for cells_inc, target in zip(inc, targets):
+                at = target[axis][pair_move]
+                np.minimum(lo, at + offsets[0][cells_inc], out=lo)
+                np.maximum(hi, at + offsets[1][cells_inc], out=hi)
+            return (hi - lo) - (ext.hi[0, col] - ext.lo[0, col])
+
+        pair_delta = extent_delta(x, 0, self.inc_dx)
         if not x_only:
-            fdy = self.pin_dy[flat]
-            py_old = y[fcell] + fdy
-            py = np.where(is_a, new_ay[pair_move].repeat(cnt) + fdy, py_old)
-            if cell_b is not None:
-                py = np.where(is_b, new_by[pair_move].repeat(cnt) + fdy, py)
-            blocks += [py_old, py]
-        total = len(px)
-        stacked = np.concatenate(blocks)
-        segs = (seg + total * np.arange(len(blocks))[:, None]).ravel()
-        ext = np.maximum.reduceat(stacked, segs) - np.minimum.reduceat(
-            stacked, segs
-        )
-        npairs = len(seg)
-        pair_delta = ext[npairs : 2 * npairs] - ext[:npairs]
-        if not x_only:
-            pair_delta = pair_delta + (
-                ext[3 * npairs :] - ext[2 * npairs : 3 * npairs]
-            )
+            pair_delta = pair_delta + extent_delta(y, 1, self.inc_dy)
         return pair_delta
 
     def deltas(
@@ -292,9 +313,9 @@ class MoveEvaluator:
         nmoves = len(cell_a)
         if nmoves == 0:
             return np.zeros(0)
-        pair_move, pair_net = self.pairs(cell_a, cell_b)
+        pair_move, pair_net, pair_inc = self.pairs(cell_a, cell_b)
         pair_delta = self.price_pairs(
-            x, y, pair_move, pair_net, cell_a, new_ax, new_ay,
+            x, y, pair_move, pair_net, pair_inc, cell_a, new_ax, new_ay,
             cell_b, new_bx, new_by, x_only=x_only,
         )
         return np.bincount(pair_move, weights=pair_delta, minlength=nmoves)

@@ -340,9 +340,9 @@ class VectorImprover:
         locked = np.zeros(out.netlist.num_cells + 1, dtype=bool)
         # Per-(move, net) deltas live for the whole call: a round re-prices
         # only the pairs whose net the previous round's moves touched.
-        pair_move, pair_net = ev.pairs(cell_a, cell_b)
+        pair_move, pair_net, pair_inc = ev.pairs(cell_a, cell_b)
         pair_delta = ev.price_pairs(
-            x, y, pair_move, pair_net, *moves, x_only=x_only
+            x, y, pair_move, pair_net, pair_inc, *moves, x_only=x_only
         )
         alive = np.arange(n)
         pairs = np.arange(len(pair_move))  # alive moves' pairs, pair order
@@ -353,8 +353,8 @@ class VectorImprover:
         for _ in range(max_rounds):
             if stale is not None:
                 pair_delta[stale] = ev.price_pairs(
-                    x, y, pair_move[stale], pair_net[stale], *moves,
-                    x_only=x_only,
+                    x, y, pair_move[stale], pair_net[stale],
+                    pair_inc[:, stale], *moves, x_only=x_only,
                 )
             # Each move's pairs are summed in pair order: the same floats
             # as ev.deltas() over the alive moves.

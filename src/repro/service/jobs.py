@@ -311,9 +311,13 @@ SERVICE_SCHEMA = "repro-service/2"
 JOB_SCHEMA = "repro-job/1"
 
 #: Failure classes a finished attempt can be attributed to.  The first
-#: three are the retryable-by-default ones; ``rejected`` (bad input, e.g.
-#: ``ValueError``) and ``error`` (anything else) fail fast.
+#: two are the retryable-by-default ones (:data:`DEFAULT_RETRY_ON`);
+#: ``numerical`` is retried only on request, and ``rejected`` (bad input,
+#: e.g. ``ValueError``) and ``error`` (anything else) fail fast.
 FAILURE_CLASSES = ("worker_death", "timeout", "numerical", "rejected", "error")
+
+#: The failure classes :class:`RetryPolicy` retries unless told otherwise.
+DEFAULT_RETRY_ON = ("worker_death", "timeout")
 
 
 def classify_failure(error_type: Optional[str]) -> str:
@@ -335,17 +339,17 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first attempt: 3 means one run plus up to
     two retries.  ``retry_on`` names failure classes (see
-    :data:`FAILURE_CLASSES`); ``numerical`` is included by default
-    because a :class:`~repro.core.health.NumericalHealthError` that
-    escaped the in-process recovery ladder has already exhausted every
-    rung — the one thing a retry adds is a fresh process (clean heap,
-    no inherited allocator state), the classic crash-only remedy.
+    :data:`FAILURE_CLASSES`).  The default retries what can go
+    differently on another attempt: a dead worker and a timeout.
+    ``numerical`` is an opt-in: a job is a deterministic function of its
+    spec, so a :class:`~repro.core.health.NumericalHealthError` that
+    escaped the in-process recovery ladder diverges again on a retry.
     Requeue delay grows exponentially and is capped:
     ``min(backoff_cap_s, backoff_base_s * 2**(attempt-1))``.
     """
 
     max_attempts: int = 3
-    retry_on: Tuple[str, ...] = ("worker_death", "timeout", "numerical")
+    retry_on: Tuple[str, ...] = DEFAULT_RETRY_ON
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
 
@@ -386,9 +390,7 @@ class RetryPolicy:
             return cls()
         return cls(
             max_attempts=int(data.get("max_attempts", 3)),
-            retry_on=tuple(
-                data.get("retry_on", ("worker_death", "timeout", "numerical"))
-            ),
+            retry_on=tuple(data.get("retry_on", DEFAULT_RETRY_ON)),
             backoff_base_s=float(data.get("backoff_base_s", 0.05)),
             backoff_cap_s=float(data.get("backoff_cap_s", 2.0)),
         )

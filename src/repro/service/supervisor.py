@@ -611,10 +611,12 @@ class PlacementService:
             self._queued -= 1
             self._inflight[token] = job_id
             self.pool.dispatch(handle, token, payload)
+            # Whether the attempt resumes from a snapshot is only known
+            # once the worker has read it: job_done.resumed_iteration.
             self.events.emit(
                 "job_start", job=job_id, attempt=attempt,
                 worker=handle.worker_id, slot=handle.slot,
-                resume=attempt > 1, queue_depth=self._queued,
+                queue_depth=self._queued,
             )
 
     def _on_message(self, message: Tuple, now: float) -> None:

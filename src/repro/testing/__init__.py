@@ -11,7 +11,9 @@ so "legal" means exactly one thing across the whole suite.
 
 :mod:`repro.testing.improver` keeps the sequential accept loop and the
 per-pin move pricing that the vectorized improver replaced, as its
-bit-identity oracles.
+bit-identity oracles; :mod:`repro.testing.reductions` does the same for
+the segmented per-net reductions and the scatter assembly that the padded
+degree-class kernel and the slot matrix replaced.
 """
 
 from .faults import (
@@ -33,6 +35,12 @@ from .faults import (
 )
 from .improver import SequentialImprover, reference_deltas, sequential_accept
 from .legal import assert_legal
+from .reductions import (
+    reference_assemble,
+    reference_exclusive_x,
+    reference_extents,
+    reference_star_centroids,
+)
 
 __all__ = [
     "FAULT_FACTORIES",
@@ -50,7 +58,11 @@ __all__ = [
     "install_env_hooks",
     "install_process_faults",
     "kill_worker",
+    "reference_assemble",
     "reference_deltas",
+    "reference_exclusive_x",
+    "reference_extents",
+    "reference_star_centroids",
     "resolve_fault",
     "sequential_accept",
     "slow_start",

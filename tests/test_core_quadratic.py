@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro import NetlistBuilder, Placement, PlacementRegion
 from repro.core import QuadraticSystem, conjugate_gradient
 from repro.core.quadratic import AssembledSystem
+from repro.testing import reference_assemble
 
 
 def _solve(system: AssembledSystem):
@@ -159,6 +160,14 @@ class TestPatternReuse:
         vals = np.concatenate([w_mm, w_mm, -w_mm, -w_mm, w_mf, np.full(n, 0.02)])
         reference = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).toarray()
         assert np.allclose(system.Ax.toarray(), reference)
+        # Bit for bit against the historical bincount scatter.
+        Ax, bx, _, _ = reference_assemble(
+            qs, net_weights=weights, anchor_weight=0.02
+        )
+        assert np.array_equal(system.Ax.indptr, Ax.indptr)
+        assert np.array_equal(system.Ax.indices, Ax.indices)
+        assert np.array_equal(system.Ax.data.view(np.int64), Ax.data.view(np.int64))
+        assert np.array_equal(system.bx.view(np.int64), bx.view(np.int64))
 
     def test_shifted_matches_sparse_add(self, tiny_circuit):
         system = QuadraticSystem(tiny_circuit.netlist).assemble()

@@ -98,11 +98,14 @@ class TestPairPricing:
                            replace=False)
         a, b = cells[:, 0], cells[:, 1]
         moves = (a, legal.x[b], legal.y[b], b, legal.x[a], legal.y[a])
-        pair_move, pair_net = ev.pairs(a, b)
-        full = ev.price_pairs(legal.x, legal.y, pair_move, pair_net, *moves)
+        pair_move, pair_net, pair_inc = ev.pairs(a, b)
+        full = ev.price_pairs(
+            legal.x, legal.y, pair_move, pair_net, pair_inc, *moves
+        )
         some = np.flatnonzero(rng.random(len(pair_move)) < 0.3)
         part = ev.price_pairs(
-            legal.x, legal.y, pair_move[some], pair_net[some], *moves
+            legal.x, legal.y, pair_move[some], pair_net[some],
+            pair_inc[:, some], *moves
         )
         assert np.array_equal(part, full[some])
         summed = np.bincount(pair_move, weights=full, minlength=len(a))

@@ -87,6 +87,15 @@ class TestRetryPolicy:
         assert RetryPolicy.from_dict(policy.to_dict()) == policy
         assert RetryPolicy.from_dict(None) == RetryPolicy()
 
+    def test_numerical_is_an_opt_in(self):
+        # A job is a deterministic function of its spec: a diverged job
+        # diverges again, so only an explicit retry_on retries it.
+        assert not RetryPolicy().should_retry("numerical", 1)
+        assert RetryPolicy().should_retry("worker_death", 1)
+        assert RetryPolicy.from_dict({"max_attempts": 3}) == RetryPolicy()
+        opted = RetryPolicy(retry_on=("numerical",))
+        assert opted.should_retry("numerical", 1)
+
     def test_classify_failure(self):
         assert classify_failure("NumericalHealthError") == "numerical"
         assert classify_failure("ValueError") == "rejected"
@@ -368,7 +377,8 @@ class TestServiceChaos:
             7, inject_faults=(("corrupt_field", {"at_iteration": 1}),),
         )
         policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
-                             backoff_cap_s=0.02)
+                             backoff_cap_s=0.02,
+                             retry_on=("worker_death", "timeout", "numerical"))
         with PlacementService(service_config()) as svc:
             svc.submit(job, job_id="diverged", retry=policy)
             record = svc.wait("diverged", timeout=120)
@@ -379,6 +389,19 @@ class TestServiceChaos:
         assert [a.outcome for a in record.attempts] == ["numerical"] * 2
         assert report["failure_classes"] == {"numerical": 1}
         assert report["retries"] == 1
+
+    def test_numerical_failure_is_not_retried_by_default(self):
+        job = tiny_job(
+            7, inject_faults=(("corrupt_field", {"at_iteration": 1}),),
+        )
+        with PlacementService(service_config(retry=RetryPolicy())) as svc:
+            svc.submit(job, job_id="diverged")
+            record = svc.wait("diverged", timeout=120)
+            report = svc.report()
+        assert record.state == JobState.FAILED
+        assert record.failure_class == "numerical"
+        assert record.attempt_count == 1
+        assert report["retries"] == 0
 
     def test_chaos_kill_worker_api(self, tmp_path):
         # The ops/chaos entry point: kill a slot while idle; the pool
@@ -432,6 +455,24 @@ class TestCheckpointDirReuse:
         assert again.result.iterations == first.result.iterations
         assert again.result.positions_hash == first.result.positions_hash
         assert again.result.final_hpwl_m == serial_hpwl(3)
+
+
+    def test_resume_shows_in_job_done_only(self, tmp_path):
+        first = self.run_once(tmp_path, tiny_job(3))
+        config = service_config(checkpoint_dir=tmp_path / "ckpt",
+                                checkpoint_every=2)
+        with PlacementService(config) as svc:
+            svc.submit(tiny_job(3))
+            svc.wait("j00001", timeout=120)
+            (start,) = svc.events.of_type("job_start")
+            (done,) = svc.events.of_type("job_done")
+        # job_start cannot know whether the worker will resume; the
+        # attempt number says whether it is a retry.
+        assert set(start) == {
+            "t", "event", "job", "attempt", "worker", "slot", "queue_depth",
+        }
+        assert start["attempt"] == 1
+        assert done["resumed_iteration"] == first.result.iterations
 
 
 class TestServiceAdmission:
